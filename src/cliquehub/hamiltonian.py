@@ -73,6 +73,9 @@ def validate_hamiltonian(spec):
             errors.append((idx, "term references motif %d outside the family"
                            % term.k))
             continue
+        if not all(math.isfinite(v) for v in (term.beta, term.shift, term.gamma)):
+            errors.append((idx, "beta, shift and gamma must be finite"))
+            continue
         if term.beta <= 0:
             errors.append((idx, "beta must be positive"))
         if term.gamma <= 0:
@@ -323,7 +326,8 @@ class EdgeFModel:
 
     def __post_init__(self):
         self.motif = resolve_motif(self.motif)
-        if self.motif.edge_count == 0 or not self.motif.is_connected():
+        plan = self.motif.plan
+        if plan.kind == "empty" or plan.iso or len(plan.components) > 1:
             raise DomainError("edge-f model needs a connected motif with edges")
         if self.beta < 0:
             raise DomainError("beta must be nonnegative")

@@ -14,6 +14,7 @@ backtracking, and exhaustive tensor contraction kept as a reference oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -72,14 +73,6 @@ class Motif:
         deg = self.degrees
         return len(set(deg)) == 1
 
-    @property
-    def max_pair_degree_half(self):
-        """Half the largest degree sum over the edges of the motif."""
-        if not self.edges:
-            return 0.0
-        deg = self.degrees
-        return max(deg[u] + deg[w] for u, w in self.edges) / 2.0
-
     def star_core(self):
         """Induced subgraph on the maximum-degree vertices."""
         deg = self.degrees
@@ -95,28 +88,11 @@ class Motif:
         )
         return Motif(self.name + "*", len(keep), edges)
 
-    def adjacency(self):
-        a = np.zeros((self.vertices, self.vertices), dtype=np.int64)
-        for u, w in self.edges:
-            a[u, w] = a[w, u] = 1
-        return a
-
-    def is_connected(self):
-        if self.vertices == 1:
-            return True
-        adj = [set() for _ in range(self.vertices)]
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertices
+    @functools.cached_property
+    def plan(self):
+        """The motif classified once; every counting engine but the
+        exhaustive reference dispatches on it."""
+        return _compile(self)
 
     def to_json_dict(self):
         return {"name": self.name, "vertices": self.vertices,
@@ -131,6 +107,9 @@ class Motif:
             raise DomainError("bad motif json: %s" % exc)
 
 
+# the built-in constructors hand out one shared instance per size, so a
+# motif's compiled plan is reused by every caller that names it
+@functools.lru_cache(maxsize=None)
 def cycle_motif(length):
     if length < 3:
         raise DomainError("cycles need length >= 3")
@@ -138,12 +117,14 @@ def cycle_motif(length):
     return Motif("C%d" % length, length, edges)
 
 
+@functools.lru_cache(maxsize=None)
 def star_motif(leaves):
     if leaves < 1:
         raise DomainError("stars need at least one leaf")
     return Motif("K1%d" % leaves, leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
+@functools.lru_cache(maxsize=None)
 def clique_motif(size):
     if size < 2:
         raise DomainError("cliques need size >= 2")
@@ -305,9 +286,6 @@ class WeightTable:
     def n(self):
         return self.matrix.shape[0]
 
-    def edge_total(self):
-        return float(self.matrix.sum() / 2.0)
-
     # -- wire formats ------------------------------------------------------
     # binary: u32 little-endian vertex count, then the strict lower triangle
     # row-major ((1,0), (2,0), (2,1), (3,0), ...) as little-endian float64.
@@ -359,6 +337,107 @@ def er_table(n, p, rng):
 
 
 # ---------------------------------------------------------------------------
+# motif plans: each motif is classified once
+
+
+@dataclass(frozen=True)
+class MotifPlan:
+    """What the counting engines need to know about a motif.
+
+    kind is "empty" (no edges), "cycle", "star", "clique" or "generic", and
+    size is the cycle length, the number of star leaves or the clique size.
+    The classification is of the core, the motif without its iso isolated
+    vertices; components are the connected components of the core.  back
+    drives the generic engine, which places the core's vertices in an order
+    where each new one touches as many placed ones as possible: back[i]
+    lists the positions of the already placed neighbors of position i.
+    """
+
+    kind: str
+    size: int
+    iso: int
+    core: Motif = None
+    components: tuple = ()
+    back: tuple = ()
+
+
+def _compile(motif):
+    deg = motif.degrees
+    live = [v for v in range(motif.vertices) if deg[v] > 0]
+    iso = motif.vertices - len(live)
+    if not live:
+        return MotifPlan("empty", 0, iso)
+    core = motif
+    if iso:
+        remap = {v: i for i, v in enumerate(live)}
+        core = Motif(motif.name + "'", len(live),
+                     tuple(sorted((remap[u], remap[w]) for u, w in motif.edges)))
+    v, e = core.vertices, core.edge_count
+    deg = core.degrees
+    components = _components(core)
+    if len(components) == 1 and v >= 3 and e == v and deg == (2,) * v:
+        kind, size = "cycle", v
+    elif e == v - 1 and sorted(deg) == [1] * (v - 1) + [v - 1]:
+        kind, size = "star", v - 1
+    elif e == v * (v - 1) // 2:
+        kind, size = "clique", v
+    else:
+        kind, size = "generic", 0
+
+    adj = [set() for _ in range(v)]
+    for a, b in core.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    order = []
+    placed = set()
+    while len(order) < v:
+        best = max(
+            (u for u in range(v) if u not in placed),
+            key=lambda u: (len(adj[u] & placed), deg[u]),
+        )
+        order.append(best)
+        placed.add(best)
+    pos = {u: i for i, u in enumerate(order)}
+    back = tuple(tuple(pos[w] for w in adj[u] if pos[w] < i)
+                 for i, u in enumerate(order))
+    return MotifPlan(kind, size, iso, core, components, back)
+
+
+def _components(core):
+    """Connected components of an isolate-free motif, relabeled; a connected
+    motif is its own single component."""
+    adj = {v: [] for v in range(core.vertices)}
+    for u, w in core.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    parts = []
+    seen = set()
+    for v0 in range(core.vertices):
+        if v0 in seen:
+            continue
+        stack = [v0]
+        seen.add(v0)
+        verts = []
+        while stack:
+            u = stack.pop()
+            verts.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        parts.append(sorted(verts))
+    if len(parts) == 1:
+        return (core,)
+    comps = []
+    for verts in parts:
+        remap = {u: i for i, u in enumerate(verts)}
+        edges = tuple(sorted((remap[u], remap[w]) for u, w in core.edges
+                             if u in remap))
+        comps.append(Motif("%s~%d" % (core.name, len(comps)), len(verts), edges))
+    return tuple(comps)
+
+
+# ---------------------------------------------------------------------------
 # homomorphism engines (weighted sums; densities divide by s^e * n^v)
 
 
@@ -368,67 +447,34 @@ def _as_matrix(table):
     return np.asarray(table, dtype=np.float64)
 
 
-def _split_isolated(motif):
-    deg = motif.degrees
-    live = [v for v in range(motif.vertices) if deg[v] > 0]
-    remap = {v: i for i, v in enumerate(live)}
-    edges = tuple(sorted((remap[u], remap[w]) for u, w in motif.edges))
-    iso = motif.vertices - len(live)
-    return Motif(motif.name + "'", max(len(live), 1), edges) if live else None, iso
-
-
-def _cycle_length(motif):
-    if motif.vertices < 3 or motif.edge_count != motif.vertices:
-        return None
-    if motif.degrees != tuple([2] * motif.vertices) or not motif.is_connected():
-        return None
-    return motif.vertices
-
-
-def _star_leaves(motif):
-    v = motif.vertices
-    if v < 2 or motif.edge_count != v - 1:
-        return None
-    deg = sorted(motif.degrees)
-    if deg != [1] * (v - 1) + [v - 1]:
-        return None
-    return v - 1
-
-
-def _clique_size(motif):
-    v = motif.vertices
-    if motif.edge_count != v * (v - 1) // 2 or v < 2:
-        return None
-    return v
+def _is_binary(x):
+    return bool(np.all((x == 0.0) | (x == 1.0)))
 
 
 def hom_sum_fast(motif, x):
     """Closed-form weighted homomorphism sum, or None if no fast path fits."""
-    core, iso = _split_isolated(motif)
+    plan = motif.plan
     n = x.shape[0]
-    if core is None:
+    if plan.kind == "empty":
         return float(n) ** motif.vertices
-    scale_iso = float(n) ** iso
+    scale_iso = float(n) ** plan.iso
 
-    ell = _cycle_length(core)
-    if ell is not None:
-        if np.all((x == 0.0) | (x == 1.0)):
+    if plan.kind == "cycle":
+        if _is_binary(x):
             # integer matrix powers stay exact in float64, so binary
             # inputs get integer counts with no eigenvalue roundoff
             power = x
-            for _ in range(ell - 1):
+            for _ in range(plan.size - 1):
                 power = power @ x
             return scale_iso * float(np.trace(power))
         w = np.linalg.eigvalsh(x)
-        return scale_iso * float(np.sum(w ** ell))
+        return scale_iso * float(np.sum(w ** plan.size))
 
-    k = _star_leaves(core)
-    if k is not None:
+    if plan.kind == "star":
         r = x.sum(axis=1)
-        return scale_iso * float(np.sum(r ** k))
+        return scale_iso * float(np.sum(r ** plan.size))
 
-    r = _clique_size(core)
-    if r is not None and np.all((x == 0.0) | (x == 1.0)):
+    if plan.kind == "clique" and _is_binary(x):
         masks = []
         for i in range(n):
             m = 0
@@ -437,6 +483,7 @@ def hom_sum_fast(motif, x):
                 if row[j] != 0.0:
                     m |= 1 << j
             masks.append(m)
+        r = plan.size
         total = _count_cliques(masks, n, r)
         return scale_iso * float(total * math.factorial(r))
 
@@ -466,36 +513,17 @@ def _count_cliques(masks, n, r):
 
 def hom_sum_generic(motif, x):
     """Recursive backtracking over vertex maps with zero-product pruning."""
-    core, iso = _split_isolated(motif)
+    plan = motif.plan
     n = x.shape[0]
-    if core is None:
+    if plan.kind == "empty":
         return float(n) ** motif.vertices
-    v = core.vertices
+    v = plan.core.vertices
     if v > GENERIC_MAX_VERTICES:
         raise CapabilityError("generic engine limited to %d motif vertices"
                               % GENERIC_MAX_VERTICES)
     if float(n) ** v > GENERIC_MAX_MAPS:
         raise CapabilityError("generic engine limited to %g maps" % GENERIC_MAX_MAPS)
-
-    # order motif vertices so each new one touches as many placed ones as possible
-    deg = core.degrees
-    adj = [set() for _ in range(v)]
-    for a, b in core.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    order = []
-    placed = set()
-    while len(order) < v:
-        best = max(
-            (u for u in range(v) if u not in placed),
-            key=lambda u: (len(adj[u] & placed), deg[u]),
-        )
-        order.append(best)
-        placed.add(best)
-    back = []  # for each position, neighbors already placed (as positions)
-    pos = {u: i for i, u in enumerate(order)}
-    for i, u in enumerate(order):
-        back.append([pos[w] for w in adj[u] if pos[w] < i])
+    back = plan.back
 
     total = 0.0
     images = [0] * v
@@ -526,24 +554,27 @@ def hom_sum_generic(motif, x):
             rec(i + 1, weight * float(w_t[t]))
 
     rec(0, 1.0)
-    return total * float(n) ** iso
+    return total * float(n) ** plan.iso
 
 
 def hom_sum_exhaustive(motif, x):
-    """Reference oracle: full tensor contraction over all maps."""
-    core, iso = _split_isolated(motif)
+    """Reference oracle: full tensor contraction over all maps.
+
+    It reads the motif's edge list directly rather than its plan, so it
+    stays independent of the classification the other engines share.
+    """
     n = x.shape[0]
-    if core is None:
+    if not motif.edges:
         return float(n) ** motif.vertices
-    v = core.vertices
-    if float(n) ** v > EXHAUSTIVE_MAX_MAPS:
+    live = sorted({u for e in motif.edges for u in e})
+    if float(n) ** len(live) > EXHAUSTIVE_MAX_MAPS:
         raise CapabilityError("exhaustive engine limited to %g maps"
                               % EXHAUSTIVE_MAX_MAPS)
-    letters = "abcdefgh"
-    subs = ",".join(letters[u] + letters[w] for u, w in core.edges)
-    ops = [x] * core.edge_count
+    letter = dict(zip(live, "abcdefgh"))
+    subs = ",".join(letter[u] + letter[w] for u, w in motif.edges)
+    ops = [x] * motif.edge_count
     total = float(np.einsum(subs + "->", *ops, optimize=True))
-    return total * float(n) ** iso
+    return total * float(n) ** (motif.vertices - len(live))
 
 
 def hom_sum(motif, table, engine="auto"):
@@ -581,6 +612,7 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
 # toggle deltas: change in the homomorphism sum when edge {i,j} goes 0 -> 1
 
 
+@functools.lru_cache(maxsize=None)
 def _trace_update_words(ell):
     """All gap sequences of cyclic words in {B,E}^ell with at least one E."""
     out = []
@@ -598,10 +630,7 @@ def _trace_update_words(ell):
                 run += 1
         gaps.append(run)
         out.append(tuple(gaps))
-    return out
-
-
-_WORD_CACHE = {}
+    return tuple(out)
 
 
 def _cycle_delta(ell, x, i, j):
@@ -609,8 +638,6 @@ def _cycle_delta(ell, x, i, j):
     n = x.shape[0]
     b = x.copy()
     b[i, j] = b[j, i] = 0.0
-    if ell not in _WORD_CACHE:
-        _WORD_CACHE[ell] = _trace_update_words(ell)
     # powers of B applied to the two unit vectors
     cols = np.zeros((ell, n, 2))
     cols[0, i, 0] = 1.0
@@ -624,7 +651,7 @@ def _cycle_delta(ell, x, i, j):
         w[a, 1, 0] = cols[a, i, 0]
         w[a, 1, 1] = cols[a, i, 1]
     total = 0.0
-    for gaps in _WORD_CACHE[ell]:
+    for gaps in _trace_update_words(ell):
         m = w[gaps[0]]
         for g in gaps[1:]:
             m = m @ w[g]
@@ -636,53 +663,49 @@ def hom_sum_delta(motif, table, i, j):
     """hom_sum with edge {i,j} present minus with it absent.
 
     The current value of the edge in `table` does not matter; the base graph
-    is the table with that edge cleared.
+    B is the table with that edge cleared.  Stars, triangles and cliques
+    cost O(n) (cliques plus a count inside the common neighborhood of i and
+    j); C_l for l >= 4 costs O(l n^2) and generic motifs a recount, each on
+    a copy of the table.
     """
     x = _as_matrix(table)
     n = x.shape[0]
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise DomainError("bad edge (%d, %d)" % (i, j))
-    core, iso = _split_isolated(motif)
-    if core is None:
+    plan = motif.plan
+    kind, size = plan.kind, plan.size
+    if kind == "empty":
         return 0.0
-    scale_iso = float(n) ** iso
-
-    ell = _cycle_length(core)
-    if ell is not None:
-        return scale_iso * _cycle_delta(ell, x, i, j)
-
-    k = _star_leaves(core)
-    if k is not None:
-        r = x.sum(axis=1)
-        ri = r[i] - x[i, j]
-        rj = r[j] - x[i, j]
-        return scale_iso * float((ri + 1) ** k - ri ** k + (rj + 1) ** k - rj ** k)
-
-    r = _clique_size(core)
-    if r is not None and np.all((x == 0.0) | (x == 1.0)):
-        common = np.nonzero((x[i] > 0) & (x[j] > 0))[0]
-        common = common[(common != i) & (common != j)]
-        if r == 2:
-            inner = 1.0
-        elif common.size == 0:
-            inner = 0.0
-        elif r == 3:
-            inner = float(common.size)
-        else:
-            inner = hom_sum(clique_motif(r - 2), x[np.ix_(common, common)])
-        return scale_iso * float(r * (r - 1) * inner)
-
-    b0 = x.copy()
-    b0[i, j] = b0[j, i] = 0.0
-    b1 = b0.copy()
-    b1[i, j] = b1[j, i] = 1.0
-    return hom_sum(motif, b1) - hom_sum(motif, b0)
+    if kind == "star":
+        # a star gains the maps centered at i or j that use the new edge
+        ri = x[i].sum() - x[i, j]
+        rj = x[j].sum() - x[i, j]
+        d = (ri + 1) ** size - ri ** size + (rj + 1) ** size - rj ** size
+    elif kind == "cycle" and size == 3:
+        # tr((B+E)^3) - tr(B^3) = 6 (B^2)_ij; the zero diagonal makes the
+        # uncleared rows give the same dot product
+        d = 6.0 * (x[i] @ x[j])
+    elif kind == "cycle":
+        d = _cycle_delta(size, x, i, j)
+    elif kind == "clique" and _is_binary(x[i]) and _is_binary(x[j]):
+        # r(r-1) ways to pin an ordered motif edge on (i, j); with binary
+        # rows i and j the rest is a K_{r-2} count on their common neighbors
+        common = np.flatnonzero(x[i] * x[j])
+        d = size * (size - 1) * hom_sum(clique_motif(size - 2),
+                                        x[np.ix_(common, common)])
+    else:
+        b0 = x.copy()
+        b0[i, j] = b0[j, i] = 0.0
+        b1 = b0.copy()
+        b1[i, j] = b1[j, i] = 1.0
+        return hom_sum(motif, b1) - hom_sum(motif, b0)
+    return float(n) ** plan.iso * float(d)
 
 
 def hom_density_delta(motif, table, i, j, scale=1.0):
     x = _as_matrix(table)
     n = x.shape[0]
-    return hom_sum_delta(motif, table, i, j) / (
+    return hom_sum_delta(motif, x, i, j) / (
         scale ** motif.edge_count * float(n) ** motif.vertices)
 
 
@@ -690,35 +713,6 @@ def hom_density_delta(motif, table, i, j, scale=1.0):
 # gradients of the homomorphism sum
 
 GRAD_MAX_OPS = 2.0e8
-
-
-def _components(motif):
-    """Connected components with vertices relabeled; isolated vertices dropped."""
-    adj = {v: [] for v in range(motif.vertices)}
-    for u, w in motif.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    comps = []
-    seen = set()
-    for v0 in range(motif.vertices):
-        if v0 in seen or not adj[v0]:
-            continue
-        stack = [v0]
-        seen.add(v0)
-        verts = []
-        while stack:
-            u = stack.pop()
-            verts.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        verts.sort()
-        remap = {u: i for i, u in enumerate(verts)}
-        edges = tuple(sorted((remap[u], remap[w]) for u, w in motif.edges
-                             if u in remap and w in remap))
-        comps.append(Motif("%s~%d" % (motif.name, len(comps)), len(verts), edges))
-    return comps
 
 
 def _pinned_clique_grad(x, r):
@@ -777,16 +771,16 @@ def _pinned_edge_grad(core, x):
 
 
 def _component_grad(comp, x):
-    ell = _cycle_length(comp)
-    if ell is not None:
-        return 2.0 * ell * np.linalg.matrix_power(x, ell - 1)
-    k = _star_leaves(comp)
-    if k is not None:
+    plan = comp.plan
+    if plan.kind == "cycle":
+        return 2.0 * plan.size * np.linalg.matrix_power(x, plan.size - 1)
+    if plan.kind == "star":
+        k = plan.size
         r = x.sum(axis=1)
         rk = r ** (k - 1) if k > 1 else np.ones_like(r)
         return float(k) * np.add.outer(rk, rk)
-    r = _clique_size(comp)
-    if r is not None and r >= 3:
+    if plan.kind == "clique":
+        r = plan.size
         return float(r * (r - 1)) * _pinned_clique_grad(x, r)
     return _pinned_edge_grad(comp, x)
 
@@ -801,12 +795,12 @@ def hom_sum_grad(motif, table):
     """
     x = _as_matrix(table)
     n = x.shape[0]
-    core, iso = _split_isolated(motif)
+    plan = motif.plan
     out = np.zeros((n, n))
-    if core is None:
+    if plan.kind == "empty":
         return out
-    scale = float(n) ** iso
-    comps = _components(core)
+    scale = float(n) ** plan.iso
+    comps = plan.components
     for idx, comp in enumerate(comps):
         rest = scale
         for jdx, other in enumerate(comps):

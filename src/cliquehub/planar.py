@@ -12,6 +12,7 @@ sign scan refined with bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +41,6 @@ class PlanarSolution:
     tolerance: float
     near_ties: list = field(default_factory=list)  # (a, b, objective gap)
     candidates: list = field(default_factory=list)  # (a, b, objective)
-
-
-def p_inverse(poly, y):
-    """Inverse of an independence polynomial on [1, inf)."""
-    return poly.inverse(y)
 
 
 class _Constraint:
@@ -147,6 +143,8 @@ class PlanarProgram:
         s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
         if len(s) != self.m:
             raise DomainError("need one target per motif")
+        if not all(math.isfinite(sk) for sk in s):
+            raise DomainError("targets must be finite")
         if any(sk < 0.0 for sk in s):
             raise DomainError("targets must be nonnegative")
         cons = [
@@ -234,11 +232,11 @@ def phi_region_emit(motifs, s, a_max=None, b_max=None, na=101, nb=101,
     s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
     if len(s) != prog.m:
         raise DomainError("need one target per motif")
+    sol = prog.solve(s)
     cons = [
         _Constraint(k, prog.polys[k], prog.regular[k], prog.vs[k], sk)
         for k, sk in enumerate(s) if sk > 0.0
     ]
-    sol = prog.solve(s)
     if a_max is None:
         spread = [c.a_star for c in cons if c.a_star is not None]
         spread += [2.0 * o.a for o in sol.optimizers]

@@ -89,6 +89,7 @@ class ErgmChain:
         self.adj = adj
         self.pairs = pair_list(n)
         self.t = self._fresh_t()
+        self._pending = None
         self.steps = 0
         self.sweeps = 0
         self.max_drift = 0.0
@@ -97,12 +98,18 @@ class ErgmChain:
         return np.array([hom_density(f, self.adj, scale=self.p)
                          for f in self.family])
 
+    def _deltas(self, i, j):
+        """Density changes of toggling {i, j}, kept for set_edge to reuse."""
+        deltas = np.array([hom_density_delta(f, self.adj, i, j, scale=self.p)
+                           for f in self.family])
+        self._pending = (i, j, deltas)
+        return deltas
+
     def edge_probability(self, i, j):
         """Heat-bath probability that pair {i, j} is set to 1."""
         if self.spec is None:
             return self.p
-        deltas = np.array([hom_density_delta(f, self.adj, i, j, scale=self.p)
-                           for f in self.family])
+        deltas = self._deltas(i, j)
         present = self.adj[i, j] != 0.0
         t_hi = self.t if present else self.t + deltas
         t_lo = self.t - deltas if present else self.t
@@ -115,8 +122,14 @@ class ErgmChain:
         if self.adj[i, j] == value:
             return
         if self.family:
-            deltas = np.array([hom_density_delta(f, self.adj, i, j, scale=self.p)
-                               for f in self.family])
+            # a pair's deltas do not depend on the pair itself, and every
+            # flip of another pair computes that pair's deltas first, so the
+            # pending ones are current whenever their pair matches
+            pending = self._pending
+            if pending is not None and pending[:2] == (i, j):
+                deltas = pending[2]
+            else:
+                deltas = self._deltas(i, j)
             self.t = self.t + deltas if value else self.t - deltas
         self.adj[i, j] = value
         self.adj[j, i] = value
@@ -151,11 +164,6 @@ class ErgmChain:
         return WeightTable(self.adj.copy())
 
 
-def glauber_step(chain, rng):
-    chain.step(rng)
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration and kernels
 
@@ -170,19 +178,25 @@ class EnumerationResult:
 
 
 def _state_tables(n, p, spec):
-    live, family, _ = _live_spec(spec)
+    """Every graph on n vertices: densities, Hamiltonian values and rate.
+
+    Returns (live, pairs, t_table, h, r); h[s] is H at state s as a float
+    and r the tilt rate, or h None and r 0 when the tilt is trivial.
+    """
+    live, family, delta = _live_spec(spec)
     pairs = pair_list(n)
-    m = len(pairs)
-    states = 1 << m
+    states = 1 << len(pairs)
     t_table = np.zeros((states, len(family)))
-    if live is not None:
-        for s in range(states):
-            adj = np.zeros((n, n))
-            for k, (i, j) in enumerate(pairs):
-                if s >> k & 1:
-                    adj[i, j] = adj[j, i] = 1.0
-            t_table[s] = [hom_density(f, adj, scale=p) for f in family]
-    return live, pairs, t_table
+    if live is None:
+        return live, pairs, t_table, None, 0.0
+    for s in range(states):
+        adj = np.zeros((n, n))
+        for k, (i, j) in enumerate(pairs):
+            if s >> k & 1:
+                adj[i, j] = adj[j, i] = 1.0
+        t_table[s] = [hom_density(f, adj, scale=p) for f in family]
+    h = [float(h_value(live, row)) for row in t_table]
+    return live, pairs, t_table, h, rate(n, p, delta)
 
 
 def exact_enumerate(n, p, spec=None, engine="logsumexp"):
@@ -197,20 +211,16 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
                               % ENUM_MAX_VERTICES)
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie in (0, 1)")
-    live, pairs, t_table = _state_tables(n, p, spec)
+    live, pairs, t_table, h, r = _state_tables(n, p, spec)
     m = len(pairs)
     states = 1 << m
-    r = rate(n, p,
-             validate_family(live.family, allow_mixed_max_degree=True).delta) \
-        if live is not None else 0.0
     ecount = np.array([bin(s).count("1") for s in range(states)])
     log_base = ecount * math.log(p) + (m - ecount) * math.log1p(-p)
     if live is None:
         lam = 0.0
         log_w = log_base
     else:
-        tilt = np.array([min(CLAMP, max(-CLAMP, r * float(h_value(live, t_table[s]))))
-                         for s in range(states)])
+        tilt = np.array([min(CLAMP, max(-CLAMP, r * hs)) for hs in h])
         log_w = log_base + tilt
         if engine == "logsumexp":
             lam = float(logsumexp(log_w))
@@ -220,8 +230,7 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
                 w = 1.0
                 for k in range(m):
                     w *= p if s >> k & 1 else 1.0 - p
-                w *= math.exp(min(CLAMP, max(-CLAMP,
-                                             r * float(h_value(live, t_table[s])))))
+                w *= math.exp(tilt[s])
                 total += w
             lam = math.log(total)
         else:
@@ -237,55 +246,37 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
                              pairs=pairs)
 
 
+def _probability_table(n, p, spec):
+    """Exact heat-bath probabilities: table[s][k] is the chance that the
+    step on pair k from state s sets the pair to 1.  Returns (table, m)."""
+    _, pairs, _, h, r = _state_tables(n, p, spec)
+    m = len(pairs)
+    if h is None:
+        return [[p] * m for _ in range(1 << m)], m
+    logit = math.log(p / (1.0 - p))
+    table = []
+    for s in range(1 << m):
+        dh = [h[s | 1 << k] - h[s & ~(1 << k)] for k in range(m)]
+        table.append([_sigmoid(min(CLAMP, max(-CLAMP, r * d)) + logit)
+                      for d in dh])
+    return table, m
+
+
 def transition_matrix(n, p, spec=None):
     """Single-step heat-bath kernel over all 2^C(n,2) states."""
-    pairs = pair_list(n)
-    m = len(pairs)
+    m = n * (n - 1) // 2
     states = 1 << m
     if states > KERNEL_MAX_STATES:
         raise CapabilityError("kernel supports at most %d states"
                               % KERNEL_MAX_STATES)
-    live, pairs, t_table = _state_tables(n, p, spec)
-    r = rate(n, p,
-             validate_family(live.family, allow_mixed_max_degree=True).delta) \
-        if live is not None else 0.0
-    logit = math.log(p / (1.0 - p))
+    table, _ = _probability_table(n, p, spec)
     kernel = np.zeros((states, states))
     for s in range(states):
         for k in range(m):
-            hi = s | (1 << k)
-            lo = s & ~(1 << k)
-            if live is None:
-                q = p
-            else:
-                dh = float(h_value(live, t_table[hi])
-                           - h_value(live, t_table[lo]))
-                q = _sigmoid(min(CLAMP, max(-CLAMP, r * dh)) + logit)
-            kernel[s, hi] += q / m
-            kernel[s, lo] += (1.0 - q) / m
+            q = table[s][k]
+            kernel[s, s | (1 << k)] += q / m
+            kernel[s, s & ~(1 << k)] += (1.0 - q) / m
     return kernel
-
-
-def _probability_table(n, p, spec):
-    live, pairs, t_table = _state_tables(n, p, spec)
-    m = len(pairs)
-    states = 1 << m
-    r = rate(n, p,
-             validate_family(live.family, allow_mixed_max_degree=True).delta) \
-        if live is not None else 0.0
-    logit = math.log(p / (1.0 - p))
-    table = []
-    for s in range(states):
-        row = []
-        for k in range(m):
-            if live is None:
-                row.append(p)
-            else:
-                dh = float(h_value(live, t_table[s | (1 << k)])
-                           - h_value(live, t_table[s & ~(1 << k)]))
-                row.append(_sigmoid(min(CLAMP, max(-CLAMP, r * dh)) + logit))
-        table.append(row)
-    return table, m
 
 
 def empirical_distribution(n, p, spec=None, steps=10 ** 6, seed=0, chain=0,

@@ -77,6 +77,28 @@ def test_domain_error_exit_1(capsys):
     assert err.count("\n") == 1
 
 
+def test_non_finite_beta_is_a_domain_error(capsys, tmp_path):
+    ham = triangle_file(tmp_path, beta=float("nan"))
+    for argv in (["sample", "--n", "20", "--p", "0.3", "--hamiltonian", ham,
+                  "--sweeps", "2"],
+                 ["psi", "--hamiltonian", ham]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1, argv[0]
+        assert out == ""
+        assert err.startswith("error:domain:") and err.count("\n") == 1, err
+        assert "finite" in err
+
+
+def test_non_finite_planar_target_is_a_domain_error(capsys):
+    for s in ("nan", "2.0,nan", "inf"):
+        motifs = "C3" if s.count(",") == 0 else "K12,C3"
+        code, out, err = run_cli(capsys, ["planar-phi", "--motifs", motifs,
+                                          "--s", s])
+        assert code == 1, s
+        assert out == ""
+        assert err == "error:domain:targets must be finite\n"
+
+
 def test_capability_error_exit_2(capsys, tmp_path):
     ham = triangle_file(tmp_path)
     code, out, err = run_cli(capsys, ["nmf", "--n", "99999", "--p", "0.3",

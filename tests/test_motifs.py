@@ -234,9 +234,23 @@ def test_hom_generic_caps():
 
 def test_hom_delta_matches_recompute():
     rng = np.random.default_rng(17)
-    names = ["K11", "K12", "K13", "K14", "C3", "C4", "C5", "C6", "K4", "K5"]
-    generic = Motif("P4", 4, ((0, 1), (1, 2), (2, 3)))
-    motifs = [motif_from_name(n) for n in names] + [generic]
+    names = ["K11", "K12", "K13", "K14", "C3", "C4", "C5", "C6", "K3", "K4",
+             "K5"]
+    motifs = [motif_from_name(n) for n in names] + [
+        Motif("P4", 4, ((0, 1), (1, 2), (2, 3))),
+        Motif("C3+iso", 4, ((0, 1), (0, 2), (1, 2))),
+        Motif("2K2", 4, ((0, 1), (2, 3)))]
+
+    def check(x, i, j):
+        with_edge = x.copy()
+        with_edge[i, j] = with_edge[j, i] = 1.0
+        without = x.copy()
+        without[i, j] = without[j, i] = 0.0
+        for m in motifs:
+            delta = hom_sum_delta(m, x, i, j)
+            want = hom_sum(m, with_edge) - hom_sum(m, without)
+            assert delta == pytest.approx(want, rel=1e-9, abs=1e-7), m.name
+
     for seed in range(5):
         table = random_table(12, 0.5, seed=100 + seed)
         for _ in range(5):
@@ -244,14 +258,17 @@ def test_hom_delta_matches_recompute():
             j = int(rng.integers(0, 12))
             if i == j:
                 continue
-            with_edge = table.matrix.copy()
-            with_edge[i, j] = with_edge[j, i] = 1.0
-            without = table.matrix.copy()
-            without[i, j] = without[j, i] = 0.0
-            for m in motifs:
-                delta = hom_sum_delta(m, table, i, j)
-                want = hom_sum(m, with_edge) - hom_sum(m, without)
-                assert delta == pytest.approx(want, rel=1e-9, abs=1e-7), m.name
+            check(table.matrix, i, j)
+    # weighted table whose rows i and j are binary: the clique delta only
+    # needs those two rows to be binary
+    x = random_table(12, 0.0, seed=200, binary=False).matrix
+    i, j = 2, 7
+    for v in (i, j):
+        row = (rng.random(12) < 0.7).astype(float)
+        row[v] = 0.0
+        x[v, :] = x[:, v] = row
+    check(x, i, j)
+    check(x, 3, 9)  # rows with weighted entries take the generic path
 
 
 def test_hom_density_delta_scaling():

@@ -8,6 +8,7 @@ from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm
 from cliquehub.nmf import CliqueHub
 from cliquehub.sampler import (
     ErgmChain,
+    _probability_table,
     almost_certificate,
     chain_rng,
     detect_structure,
@@ -103,6 +104,29 @@ def test_empirical_distribution_approaches_stationary():
     assert total_variation(emp, enum.nu) < 0.05
 
 
+def test_chain_step_matches_exact_kernel():
+    # the chain's own heat-bath probability against the enumeration table,
+    # over every state and pair, for a family using each delta path
+    n, p = 5, 0.4
+    spec = HamiltonianSpec(("K12", "C3", "C4", "K4"),
+                           (HamiltonianTerm(0, 0.8, 1.0, 0.6),
+                            HamiltonianTerm(1, 1.0, 1.0, 0.4),
+                            HamiltonianTerm(2, 0.9, 1.0, 0.3),
+                            HamiltonianTerm(3, 1.2, 1.0, 0.3)))
+    table, m = _probability_table(n, p, spec)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert m == len(pairs)
+    for state, row in enumerate(table):
+        adj = np.zeros((n, n))
+        for k, (i, j) in enumerate(pairs):
+            if state >> k & 1:
+                adj[i, j] = adj[j, i] = 1.0
+        chain = ErgmChain(n, p, spec, adjacency=adj)
+        for k, (i, j) in enumerate(pairs):
+            assert abs(chain.edge_probability(i, j) - row[k]) <= 1e-12, \
+                (state, i, j)
+
+
 def test_cached_density_drift_stays_small():
     chain = ErgmChain(16, 0.3, spec=triangle_spec(1.0))
     rng = chain_rng(7, 0)
@@ -110,6 +134,12 @@ def test_cached_density_drift_stays_small():
         chain.step(rng)
     assert chain.resync() <= 1e-8
     assert chain.max_drift <= 1e-8
+    # deltas left by edge_probability go stale once another edge flips
+    chain.edge_probability(0, 1)
+    chain.set_edge(1, 2, chain.adj[1, 2] == 0.0)
+    chain.set_edge(0, 2, chain.adj[0, 2] == 0.0)
+    chain.set_edge(0, 1, chain.adj[0, 1] == 0.0)
+    assert np.allclose(chain.t, chain._fresh_t(), rtol=0.0, atol=1e-12)
 
 
 def test_chain_without_hamiltonian_matches_er_density():
