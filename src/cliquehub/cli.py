@@ -65,8 +65,7 @@ def _py(obj):
 
 
 def _emit(args, payload):
-    """Stdout is always one line of compact JSON; --json is the explicit
-    form of the default and changes nothing."""
+    """Stdout is always one line of compact JSON."""
     print(json.dumps(_py(payload), separators=(",", ":")))
 
 
@@ -199,6 +198,20 @@ def cmd_hom_density(args, manifest):
     return 0
 
 
+def _write_region(manifest, motifs, s, region_name, curves_name):
+    """Write the feasibility grid as CSV and the per-motif boundary curves
+    as JSON; a None name skips that file."""
+    rows, curves = phi_region_emit(motifs, s)
+    if region_name:
+        manifest.write_csv(region_name, ["a", "b", "feasible", "objective"],
+                           [(a, b, int(ok), obj) for a, b, ok, obj in rows])
+    if curves_name:
+        doc = {"curves": [{"motif": k, "name": motifs[k].name,
+                           "points": curves[k]} for k in sorted(curves)]}
+        manifest.write_text(curves_name,
+                            json.dumps(doc, separators=(",", ":")) + "\n")
+
+
 def cmd_planar_phi(args, manifest):
     motifs = _motif_list(args.motifs)
     s = _float_list(args.s)
@@ -207,18 +220,7 @@ def cmd_planar_phi(args, manifest):
                "optimizers": [[float(o.a), float(o.b)]
                               for o in sol.optimizers]}
     if args.emit_region or args.emit_curves:
-        rows, curves = phi_region_emit(motifs, s)
-        if args.emit_region:
-            manifest.write_csv(args.emit_region,
-                               ["a", "b", "feasible", "objective"],
-                               [(a, b, int(ok), obj)
-                                for a, b, ok, obj in rows])
-        if args.emit_curves:
-            doc = {"curves": [{"motif": k, "name": motifs[k].name,
-                               "points": curves[k]}
-                              for k in sorted(curves)]}
-            manifest.write_text(args.emit_curves,
-                               json.dumps(doc, separators=(",", ":")) + "\n")
+        _write_region(manifest, motifs, s, args.emit_region, args.emit_curves)
     _emit(args, payload)
     return 0
 
@@ -233,11 +235,6 @@ def cmd_psi(args, manifest):
                "warnings": list(sol.warnings)}
     _emit(args, payload)
     return 0
-
-
-def _edge_f_row(motif, gamma, beta, shift):
-    sol = edge_f_solve(EdgeFModel(motif, beta, gamma, shift))
-    return sol
 
 
 def cmd_edge_f(args, manifest):
@@ -261,7 +258,7 @@ def cmd_edge_f(args, manifest):
     rows = []
     last = None
     for beta in betas:
-        sol = _edge_f_row(motif, args.gamma, beta, args.shift)
+        sol = edge_f_solve(EdgeFModel(motif, beta, args.gamma, args.shift))
         rows.append((beta, sol.phase, sol.s_star, sol.a_star, sol.b_star,
                      sol.psi))
         last = sol
@@ -371,13 +368,7 @@ def cmd_emit_figure(args, manifest):
     s = FIGURE_SCENARIOS[args.scenario]
     motifs = _motif_list(",".join(FIGURE_FAMILY))
     sol = phi_solve(motifs, s)
-    rows, curves = phi_region_emit(motifs, s)
-    manifest.write_csv("region.csv", ["a", "b", "feasible", "objective"],
-                       [(a, b, int(ok), obj) for a, b, ok, obj in rows])
-    curve_doc = {"curves": [{"motif": k, "name": motifs[k].name,
-                             "points": curves[k]} for k in sorted(curves)]}
-    manifest.write_text("curves.json",
-                        json.dumps(curve_doc, separators=(",", ":")) + "\n")
+    _write_region(manifest, motifs, s, "region.csv", "curves.json")
     opt_rows = [(o.a, o.b, 0.5 * o.a + o.b, 0, 0.0) for o in sol.optimizers]
     runner = None
     taken = [(o.a, o.b) for o in sol.optimizers]
@@ -405,14 +396,9 @@ def cmd_emit_figure(args, manifest):
 # parser assembly and dispatch
 
 
-def _common(sub, seed=True, tol=True):
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
-    if tol:
-        sub.add_argument("--tol", type=float, default=None)
+def _common(sub):
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="directory for emitted files")
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable stdout (already the default)")
 
 
 def build_parser():

@@ -104,13 +104,18 @@ class ProductInstance:
 
     def set_measure(self, verts):
         """Product mass tensor over the listed coordinates."""
-        out = np.array(1.0)
-        for v in verts:
-            out = np.multiply.outer(out, self.spaces[v])
-        return out
+        return _measure(self.spaces, verts)
 
     def set_integral(self, verts, values):
         return float((self.set_measure(verts) * values).sum())
+
+
+def _measure(spaces, verts):
+    """Outer product of spaces[v] over verts, in the order listed."""
+    out = np.array(1.0)
+    for v in verts:
+        out = np.multiply.outer(out, spaces[v])
+    return out
 
 
 def _equivalence_classes(n, sets):
@@ -266,12 +271,7 @@ def _merge_classes(inst):
     for ci, members in enumerate(classes):
         for v in members:
             index_of[v] = ci
-    spaces = []
-    for members in classes:
-        mass = np.array(1.0)
-        for v in members:
-            mass = np.multiply.outer(mass, inst.spaces[v])
-        spaces.append(mass.ravel())
+    spaces = [_measure(inst.spaces, members).ravel() for members in classes]
     system = []
     functions = []
     for (verts, lam), f in zip(inst.system, inst.functions):
@@ -295,13 +295,6 @@ def _pad_cover(spaces, system, functions):
             system.append(((v,), 1.0 - load))
             functions.append(np.ones(spaces[v].size))
     return system, functions
-
-
-def _measure(spaces, verts):
-    out = np.array(1.0)
-    for v in verts:
-        out = np.multiply.outer(out, spaces[v])
-    return out
 
 
 def normalize_instance(inst):
@@ -374,8 +367,8 @@ def recover_factors(inst):
     rest.  Residuals compare each input function with the product of the
     recovered factors over its classes, in L1 of the set's product measure.
     """
-    spaces, system, functions, classes = _merge_classes(inst)
-    system, functions = _pad_cover(spaces, system, functions)
+    spaces, merged, functions, classes = _merge_classes(inst)
+    system, functions = _pad_cover(spaces, merged, functions)
     h = _recover(list(range(len(spaces))), spaces, system, functions)
     family = {}
     for ci, members in enumerate(classes):
@@ -384,18 +377,11 @@ def recover_factors(inst):
             h[ci] = h[ci] / mean
         shape = tuple(inst.spaces[v].size for v in members)
         family[members] = h[ci].reshape(shape)
-    index_of = {}
-    for ci, members in enumerate(classes):
-        for v in members:
-            index_of[v] = ci
     residuals = []
-    for (verts, _), f in zip(inst.system, inst.functions):
-        cls = sorted(set(index_of[v] for v in verts))
-        tensor = np.array(1.0)
-        for ci in cls:
-            tensor = np.multiply.outer(tensor, h[ci])
+    # merged[k] holds the classes of inst.system[k]; padding only appends
+    for (verts, _), f, (cls, _) in zip(inst.system, inst.functions, merged):
         order = [v for ci in cls for v in classes[ci]]
-        prod = tensor.reshape([inst.spaces[v].size for v in order])
+        prod = _measure(h, cls).reshape([inst.spaces[v].size for v in order])
         perm = [order.index(v) for v in verts]
         prod = np.transpose(prod, perm)
         resid = inst.set_integral(verts, np.abs(f - prod))
@@ -509,12 +495,7 @@ def tensor_product_instance(rng, max_vertices=4, max_space=4, max_sets=4):
     for v in range(n):
         slack = 1.0 - sum(lam for a, lam in system if v in a)
         system.append(((v,), slack))
-    functions = []
-    for a, _ in system:
-        f = np.array(1.0)
-        for v in a:
-            f = np.multiply.outer(f, hs[v])
-        functions.append(f)
+    functions = [_measure(hs, a) for a, _ in system]
     return ProductInstance(spaces, system, functions), hs
 
 

@@ -290,9 +290,15 @@ def psi_solve(spec, seed=0, tie_tol=1e-8, dedup_tol=1e-8):
     scored = sorted(
         ((a, b, g(np.float64(a), np.float64(b))) for a, b in cands),
         key=lambda t: -t[2])
+    window = tie_tol * (1.0 + abs(psi))
+    cut = psi - window
+    if scored[0][2] < cut:
+        # psi_dual can sit above every scored candidate; the ties are then
+        # taken around the best candidate so the optimizer set is never empty
+        cut = scored[0][2] - window
     opts = []
     for a, b, val in scored:
-        if val < psi - tie_tol * (1.0 + abs(psi)):
+        if val < cut:
             continue
         if all(abs(a - oa) + abs(b - ob) > dedup_tol for oa, ob in opts):
             opts.append((float(a), float(b)))

@@ -144,13 +144,22 @@ def clique_hub_sizes(n, p, k_clique, k_hub):
                      tuple(range(k_clique, k_clique + k_hub)))
 
 
+def overlay_sizes(n, p, delta, a, b, factor=1.0, rounding=math.floor):
+    """Clique and hub sizes for amplitudes (a, b): rounding(factor |I|) and
+    rounding(factor |J|) with |I| = sqrt(a p^delta) n and |J| = b p^delta n.
+
+    Negative amplitudes are solver round-off and count as zero.  The clique
+    is capped at n and the hub at n - clique, so the overlay always fits.
+    """
+    a, b = max(a, 0.0), max(b, 0.0)
+    k_clique = min(int(rounding(factor * (math.sqrt(a * p ** delta) * n))), n)
+    k_hub = min(int(rounding(factor * (b * p ** delta * n))), n - k_clique)
+    return k_clique, k_hub
+
+
 def clique_hub(n, p, delta, a, b):
-    """Overlay with |I| = floor(sqrt(a p^delta) n), |J| = floor(b p^delta n)."""
-    if a < 0 or b < 0:
-        raise DomainError("a and b must be nonnegative")
-    k_clique = int(math.floor(math.sqrt(a * p ** delta) * n))
-    k_hub = int(math.floor(b * p ** delta * n))
-    return clique_hub_sizes(n, p, k_clique, k_hub)
+    """Overlay with the floored sizes of overlay_sizes."""
+    return clique_hub_sizes(n, p, *overlay_sizes(n, p, delta, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +279,9 @@ def _warm_starts(prob, seed):
     try:
         psi = psi_solve(prob.spec)
         for a, b in psi.optimizers:
-            k_i = math.sqrt(max(a, 0.0) * p ** prob.delta) * n
-            k_j = max(b, 0.0) * p ** prob.delta * n
             for f in (0.8, 1.0, 1.2):
-                ki = min(int(math.floor(f * k_i)), n)
-                kj = min(int(math.floor(f * k_j)), n - ki)
-                try:
-                    ch = clique_hub_sizes(n, p, ki, kj)
-                except DomainError:
-                    continue
+                ch = clique_hub_sizes(
+                    n, p, *overlay_sizes(n, p, prob.delta, a, b, factor=f))
                 label = "overlay(%g,%g)x%g" % (a, b, f)
                 starts.append((label, ch.matrix()))
                 if f == 1.0:
@@ -484,15 +487,9 @@ def phi_np_solve(prob, rounds=8, inner_iter=150, tol=1e-8, seed=0,
     points += [(a, b) for a, b, _ in limit.near_ties]
     witness_vals = []
     for a, b in points:
-        k_i = math.sqrt(max(a, 0.0) * p ** prob.delta) * n
-        k_j = max(b, 0.0) * p ** prob.delta * n
-        for ri, rj in ((math.floor, math.floor), (math.ceil, math.ceil)):
-            ki = min(int(ri(k_i)), n)
-            kj = min(int(rj(k_j)), n - ki)
-            try:
-                ch = clique_hub_sizes(n, p, ki, kj)
-            except DomainError:
-                continue
+        for rounding in (math.floor, math.ceil):
+            ki, kj = overlay_sizes(n, p, prob.delta, a, b, rounding=rounding)
+            ch = clique_hub_sizes(n, p, ki, kj)
             fixed = _inflate_to_feasible(prob, active, ch.matrix())
             if fixed is not None:
                 ent = entropy(fixed, p)
@@ -543,11 +540,11 @@ def phi_np_solve(prob, rounds=8, inner_iter=150, tol=1e-8, seed=0,
 def stability_probe(prob, Q):
     """Distance from Q to the nearest aligned clique-hub overlay.
 
-    For every limit optimizer (a, b) the probe picks hub rows as the floor(b
-    p^delta n) rows of largest total mass, then clique rows as the floor(
-    sqrt(a p^delta) n) remaining rows of largest mass within the remainder,
-    and reports the scaled Frobenius distance to that overlay.  Reported only;
-    nothing here is a convergence guarantee.
+    For every limit optimizer (a, b) with overlay_sizes (k_I, k_J) the probe
+    picks hub rows as the k_J rows of largest total mass, then clique rows as
+    the k_I remaining rows of largest mass within the remainder, and reports
+    the scaled Frobenius distance to that overlay.  Reported only; nothing
+    here is a convergence guarantee.
     """
     if prob.s is None:
         raise DomainError("stability_probe needs a target problem")
@@ -559,8 +556,7 @@ def stability_probe(prob, Q):
     scale = n * p ** (prob.delta / 2.0)
     reports = []
     for opt in limit.optimizers:
-        ki = min(int(math.floor(math.sqrt(max(opt.a, 0.0) * p ** prob.delta) * n)), n)
-        kj = min(int(math.floor(max(opt.b, 0.0) * p ** prob.delta * n)), n - ki)
+        ki, kj = overlay_sizes(n, p, prob.delta, opt.a, opt.b)
         order = np.argsort(-x.sum(axis=1), kind="stable")
         hub = np.sort(order[:kj])
         rest = np.sort(order[kj:])

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from .errors import CapabilityError, DomainError
 from .hamiltonian import HamiltonianSpec, h_value, psi_solve, validate_hamiltonian
 from .motifs import WeightTable, _as_matrix, hom_density, hom_density_delta, rate, validate_family
-from .nmf import CliqueHub
+from .nmf import CliqueHub, overlay_sizes
 
 CLAMP = 700.0
 ENUM_MAX_VERTICES = 6
@@ -426,13 +426,12 @@ class StructureReport:
     xi1: float
     xi2: float
     thresholds: dict
-    target_sizes: dict = None
     discrepancy: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
 
-def detect_structure(adj, p, delta, delta_hub=0.5, a_hint=None, b_hint=None,
-                     xi=0.05, spectral=True, seed=0, samples=0):
+def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True,
+                     seed=0, samples=0):
     """Degree-threshold hub detection plus greedy clique densification.
 
     Hub rows are those of degree at least (1 - delta_hub) n.  Clique
@@ -483,13 +482,6 @@ def detect_structure(adj, p, delta, delta_hub=0.5, a_hint=None, b_hint=None,
     xi1 = almost_certificate(a, clique, hub, p, delta)
     xi2 = spectral_certificate(a, clique, hub, p, delta, seed=seed) \
         if spectral else math.nan
-    targets = None
-    if a_hint is not None or b_hint is not None:
-        targets = {}
-        if a_hint is not None:
-            targets["clique"] = int(math.floor(math.sqrt(a_hint * p ** delta) * n))
-        if b_hint is not None:
-            targets["hub"] = int(math.floor(b_hint * p ** delta * n))
     disc = []
     if samples and spectral:
         disc = discrepancy_samples(a, clique, hub, p, delta, xi2,
@@ -497,7 +489,7 @@ def detect_structure(adj, p, delta, delta_hub=0.5, a_hint=None, b_hint=None,
     return StructureReport(clique=clique, hub=hub, xi1=xi1, xi2=xi2,
                            thresholds={"hub_degree": (1.0 - delta_hub) * n,
                                        "clique_degree": thr},
-                           target_sizes=targets, discrepancy=disc)
+                           discrepancy=disc)
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +590,8 @@ def run_experiment(config):
         try:
             psi = psi_solve(live)
             summary["limit_optimizers"] = psi.optimizers
-            summary["target_sizes"] = [
-                (int(math.floor(math.sqrt(max(a, 0.0) * p ** delta) * n)),
-                 int(math.floor(max(b, 0.0) * p ** delta * n)))
-                for a, b in psi.optimizers]
+            summary["target_sizes"] = [overlay_sizes(n, p, delta, a, b)
+                                       for a, b in psi.optimizers]
         except Exception as err:  # degenerate objectives stay reportable
             summary["limit_error"] = str(err)
     return ExperimentResult(columns=columns, rows=rows, reports=reports,

@@ -56,11 +56,16 @@ def test_finner_suite_example(capsys):
 
 
 def test_unknown_command_exit_1(capsys):
-    code, out, err = run_cli(capsys, ["warp-speed"])
-    assert code == 1
-    assert err.startswith("usage:")
-    last = err.strip().splitlines()[-1]
-    assert last.startswith("error:usage:")
+    # unknown commands and options (there is no --tol or --json) are usage
+    # errors
+    phi = ["planar-phi", "--motifs", "C3", "--s", "1.0"]
+    for argv in (["warp-speed"], phi + ["--tol", "1e-6"], phi + ["--json"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:")
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error:usage:")
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
 
 def test_missing_command_exit_1(capsys):

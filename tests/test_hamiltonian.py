@@ -113,6 +113,24 @@ def test_psi_optimizers_solve_their_excess():
                             HamiltonianTerm(1, 0.4, 1.2, 0.5),
                             HamiltonianTerm(2, 0.3, 0.8, 0.4)))
     sol = psi_solve(spec)
+    assert sol.optimizers and sol.s_star
+    for (a, b), s in zip(sol.optimizers, sol.s_star):
+        planar = phi_solve(["K12", "C3", "C4"], s)
+        assert planar.value == pytest.approx(0.5 * a + b, abs=1e-6)
+
+
+def test_psi_optimizers_nonempty_when_dual_overshoots():
+    # psi_dual lands 3.5e-8 above psi_direct here, beyond the 3.2e-8 tie
+    # window around psi, so no candidate reaches psi - window; the ties are
+    # then taken around the best candidate
+    spec = HamiltonianSpec(("K12", "C3", "C4"),
+                           (HamiltonianTerm(0, 0.771528, 1.0534, 0.790497),
+                            HamiltonianTerm(1, 0.340418, 1.08221, 0.394122),
+                            HamiltonianTerm(2, 0.700951, 0.952358, 0.374327)))
+    sol = psi_solve(spec, seed=4)
+    window = 1e-8 * (1.0 + abs(sol.psi))
+    assert sol.psi_dual - sol.psi_direct > window
+    assert sol.optimizers and sol.s_star
     for (a, b), s in zip(sol.optimizers, sol.s_star):
         planar = phi_solve(["K12", "C3", "C4"], s)
         assert planar.value == pytest.approx(0.5 * a + b, abs=1e-6)

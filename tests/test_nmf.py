@@ -17,6 +17,7 @@ from cliquehub.nmf import (
     nmf_gradient,
     nmf_objective,
     nmf_solve,
+    overlay_sizes,
     phi_np_solve,
     relative_entropy,
     stability_probe,
@@ -77,6 +78,22 @@ def test_clique_hub_sizes_and_entropy():
         clique_hub_sizes(10, 0.2, 6, 5)
     with pytest.raises(DomainError):
         CliqueHub(10, 0.2, (0, 1), (1, 2))
+
+    # overlay_sizes: sqrt(a p^delta) n = 17.32..., b p^delta n = 2.5
+    n, p, delta, a, b = 100, 0.1, 2, 3.0, 2.5
+    assert overlay_sizes(n, p, delta, a, b) == (
+        math.floor(math.sqrt(a * p ** delta) * n),
+        math.floor(b * p ** delta * n)) == (17, 2)
+    assert overlay_sizes(n, p, delta, a, b, rounding=math.ceil) == (18, 3)
+    assert overlay_sizes(n, p, delta, a, b, factor=0.8) == (13, 2)
+    assert overlay_sizes(n, p, delta, a, b, factor=1.2) == (20, 3)
+    # the clique is capped at n, the hub at n - clique
+    assert overlay_sizes(n, p, delta, 1e6, 1.0) == (100, 0)
+    assert overlay_sizes(n, p, delta, a, 1e4) == (17, 83)
+    # negative amplitudes are round-off and count as zero
+    assert overlay_sizes(n, p, delta, -1e-12, -1e-12) == (0, 0)
+    ch = clique_hub(n, p, delta, -1e-12, b)
+    assert ch.clique == () and len(ch.hub) == 2
 
 
 def test_problem_validation():
