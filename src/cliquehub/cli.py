@@ -6,7 +6,8 @@ CSV and JSON files format floats with Python's shortest round-trip repr, so
 reruns with the same inputs are byte-identical; a manifest.json records the
 resolved configuration and a sha256 digest per output file.
 
-Exit codes: 0 success, 1 domain or validation problem, 2 capability limit.
+Exit codes: 0 success, 1 domain or validation problem, 2 capability limit,
+3 a broken internal invariant.
 Errors print one machine-parsable line to stderr: error:<kind>:<message>.
 """
 
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import CapabilityError, CliqueHubError, DomainError
+from .errors import CapabilityError, CliqueHubError, DomainError, InternalError
 from .motifs import WeightTable, hom_density, resolve_motif
 from .planar import phi_region_emit, phi_solve
 from .hamiltonian import EdgeFModel, edge_f_solve, load_hamiltonian, psi_solve
@@ -294,7 +295,7 @@ def cmd_phi_np(args, manifest):
     s = _float_list(args.s)
     prob = NmfProblem(args.n, args.p, s=s,
                       family=tuple(m.name for m in motifs))
-    sol = phi_np_solve(prob, seed=args.seed)
+    sol = phi_np_solve(prob)
     payload = {"value": sol.value,
                "iterations": len(sol.diagnostics["candidates"]),
                "residuals": sol.residual,
@@ -506,6 +507,10 @@ def main(argv=None):
         sys.stderr.write("error:capability:%s\n"
                          % str(exc).replace("\n", " "))
         return 2
+    except InternalError as exc:
+        sys.stderr.write("error:internal:%s\n"
+                         % str(exc).replace("\n", " "))
+        return 3
     except FileNotFoundError as exc:
         sys.stderr.write("error:domain:%s\n" % str(exc).replace("\n", " "))
         return 1

@@ -2,6 +2,7 @@
 
 DomainError covers invalid inputs and validation failures (CLI exit 1).
 CapabilityError covers requests outside implemented limits (CLI exit 2).
+InternalError covers a broken invariant of the program itself (CLI exit 3).
 """
 
 
@@ -19,3 +20,7 @@ class DegeneracyError(DomainError):
 
 class CapabilityError(CliqueHubError):
     code = "CAPABILITY"
+
+
+class InternalError(CliqueHubError):
+    code = "INTERNAL"

@@ -398,12 +398,12 @@ def factor_deviation(inst, family, members):
     return float((np.abs(family[members] - 1.0) * mass).sum())
 
 
-def remark_slack_check(inst, members, scale=3.0, exponent=0.25):
+def remark_slack_check(inst, members):
     """Check that a slack class's factor stays near 1.
 
     members must be an equivalence class whose covering weight is strictly
-    below 1; the recovered factor then satisfies an eps^exponent bound with
-    the calibrated scale.  Returns (pass flag, details).
+    below 1; the recovered factor then satisfies the calibrated bound
+    3 eps^(1/4).  Returns (pass flag, details).
     """
     members = tuple(sorted(members))
     if members not in inst.classes:
@@ -416,7 +416,7 @@ def remark_slack_check(inst, members, scale=3.0, exponent=0.25):
     eps = max(0.0, 1.0 - finner_integral(inst))
     family, residuals = recover_factors(inst)
     dev = factor_deviation(inst, family, members)
-    bound = scale * eps ** exponent
+    bound = 3.0 * eps ** 0.25
     passed = dev <= bound + 1e-9
     return passed, {"eps": eps, "deviation": dev, "bound": bound,
                     "load": load, "residuals": residuals}
@@ -457,11 +457,11 @@ def random_instance(rng, max_vertices=4, max_space=4, max_sets=5):
     return ProductInstance(spaces, system, functions)
 
 
-def random_unit_factors(rng, spaces, low=0.25):
+def random_unit_factors(rng, spaces):
     """One positive unit-mean factor per coordinate."""
     hs = []
     for mass in spaces:
-        h = rng.random(mass.size) + low
+        h = rng.random(mass.size) + 0.25
         hs.append(h / float((h * mass).sum()))
     return hs
 

@@ -206,7 +206,18 @@ def _find_box(g):
         "objective appears unbounded; the growth condition is violated")
 
 
-def psi_solve(spec, seed=0, tie_tol=1e-8, dedup_tol=1e-8):
+def _distinct(points, radius):
+    """The points in order, dropping each point x that lies within L1
+    distance radius * (1 + |x|_1) of an earlier kept point."""
+    kept = []
+    for x in points:
+        scale = radius * (1.0 + sum(abs(u) for u in x))
+        if all(sum(abs(u - v) for u, v in zip(x, y)) > scale for y in kept):
+            kept.append(x)
+    return kept
+
+
+def psi_solve(spec, seed=0):
     report = validate_hamiltonian(spec)
     if not report.ok:
         raise DomainError("invalid hamiltonian: %s" % report.errors)
@@ -279,7 +290,7 @@ def psi_solve(spec, seed=0, tie_tol=1e-8, dedup_tol=1e-8):
     # at their excess vectors (the dual extraction)
     cands = [(a, b) for a, b, val in direct_pts]
     for a, b, val in direct_pts:
-        if val < psi - max(1e-6, 10 * tie_tol) * (1.0 + abs(psi)):
+        if val < psi - 1e-6 * (1.0 + abs(psi)):
             continue
         sol = prog.solve(prog.excess(a, b))
         cands.extend((o.a, o.b) for o in sol.optimizers)
@@ -290,25 +301,19 @@ def psi_solve(spec, seed=0, tie_tol=1e-8, dedup_tol=1e-8):
     scored = sorted(
         ((a, b, g(np.float64(a), np.float64(b))) for a, b in cands),
         key=lambda t: -t[2])
-    window = tie_tol * (1.0 + abs(psi))
+    window = 1e-8 * (1.0 + abs(psi))
     cut = psi - window
     if scored[0][2] < cut:
         # psi_dual can sit above every scored candidate; the ties are then
         # taken around the best candidate so the optimizer set is never empty
         cut = scored[0][2] - window
-    opts = []
-    for a, b, val in scored:
-        if val < cut:
-            continue
-        if all(abs(a - oa) + abs(b - ob) > dedup_tol for oa, ob in opts):
-            opts.append((float(a), float(b)))
-    opts.sort()
-    s_star = []
-    for a, b in opts:
-        sv = tuple(float(x) for x in prog.excess(a, b))
-        if all(max(abs(x - y) for x, y in zip(sv, old)) > dedup_tol
-               for old in s_star):
-            s_star.append(sv)
+    # a value tie of w pins a smooth maximum's argument only to about
+    # sqrt(w), so tied candidates closer than that are one optimizer
+    radius = math.sqrt(window)
+    opts = sorted(_distinct(
+        [(float(a), float(b)) for a, b, val in scored if val >= cut], radius))
+    s_star = _distinct(
+        [tuple(float(x) for x in prog.excess(a, b)) for a, b in opts], radius)
 
     h1 = h_at_one(spec)
     warnings = list(report.warnings)
@@ -366,11 +371,11 @@ class EdgeFSolution:
     warnings: list = field(default_factory=list)
 
 
-def _golden(fun, lo, hi, iters=140):
+def _golden(fun, lo, hi):
     x1 = hi - GOLD * (hi - lo)
     x2 = lo + GOLD * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
+    for _ in range(140):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLD * (hi - lo)
@@ -562,7 +567,7 @@ class _Branches:
 _BETA_C_MEMO = {}
 
 
-def solve_beta_c(model, cap=2.0 ** 20):
+def solve_beta_c(model):
     """Smallest coupling where the clique branch value overtakes the hub."""
     br = model if isinstance(model, _Branches) else _Branches(model)
     if not br.regular:
@@ -580,7 +585,7 @@ def solve_beta_c(model, cap=2.0 ** 20):
     g_hi = gap(hi)
     while g_hi > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > cap:
+        if hi > 2.0 ** 20:
             raise DomainError("beta_c bracket exceeded the doubling cap")
         g_hi = gap(hi)
     for _ in range(80):
@@ -659,7 +664,7 @@ def edge_f_solve(model):
                          s_star, a_star, b_star, psi, ambiguous, warnings)
 
 
-def monotone_selection_check(motif, gamma, betas, shift=1.0, tol=1e-7):
+def monotone_selection_check(motif, gamma, betas, shift=1.0):
     """Branch maximizers must be nondecreasing in beta (per branch)."""
     betas = sorted(float(b) for b in betas)
     rows = []
@@ -668,11 +673,11 @@ def monotone_selection_check(motif, gamma, betas, shift=1.0, tol=1e-7):
     for beta in betas:
         sol = edge_f_solve(EdgeFModel(motif, beta, gamma, shift))
         rows.append((beta, sol.s_hub, sol.s_clique, sol.phase))
-        if sol.s_hub < prev_hub - tol * (1.0 + abs(prev_hub)):
+        if sol.s_hub < prev_hub - 1e-7 * (1.0 + abs(prev_hub)):
             ok = False
         prev_hub = max(prev_hub, sol.s_hub)
         if sol.s_clique is not None:
-            if sol.s_clique < prev_clique - tol * (1.0 + abs(prev_clique)):
+            if sol.s_clique < prev_clique - 1e-7 * (1.0 + abs(prev_clique)):
                 ok = False
             prev_clique = max(prev_clique, sol.s_clique)
     return ok, rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import rel_entr
 
-from .errors import CapabilityError, DegeneracyError, DomainError
+from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
 from .hamiltonian import h_value, psi_solve
 from .motifs import (WeightTable, _as_matrix, hom_density, hom_density_grad,
                      rate, resolve_motif, validate_family)
@@ -295,11 +295,11 @@ def _warm_starts(prob, seed):
     return starts, witnesses, warnings
 
 
-def nmf_solve(prob, max_iter=300, tol=1e-6, seed=0):
+def nmf_solve(prob, max_iter=300, seed=0):
     """Maximize r h(t(F, Q/p)) - Ent_p(Q) by multi-start projected ascent.
 
     The returned value never falls below the objective at Q = p or at any
-    clique-hub overlay used as a warm start; both floors are asserted.
+    clique-hub overlay used as a warm start; both floors are checked.
     """
     if prob.spec is None:
         raise DomainError("nmf_solve needs a Hamiltonian problem")
@@ -313,7 +313,7 @@ def nmf_solve(prob, max_iter=300, tol=1e-6, seed=0):
 
     results = []
     for idx, (label, Q0) in enumerate(starts):
-        Q, val, iters, pg = _pga(value_fn, grad_fn, Q0, max_iter, tol)
+        Q, val, iters, pg = _pga(value_fn, grad_fn, Q0, max_iter, 1e-6)
         results.append({"restart": idx, "label": label, "value": val,
                         "iterations": iters, "grad_norm": pg})
         results[-1]["_Q"] = Q
@@ -339,9 +339,10 @@ def nmf_solve(prob, max_iter=300, tol=1e-6, seed=0):
                                 r["restart"]))
     best = results[0]
     value = best["value"]
-    assert value >= flat_val, "flat-start floor violated"
-    for v in floor_vals:
-        assert value >= v, "overlay witness floor violated"
+    if value < flat_val:
+        raise InternalError("flat-start floor violated")
+    if any(value < v for v in floor_vals):
+        raise InternalError("overlay witness floor violated")
     Q = best["_Q"]
     t = _densities(prob, Q)
     diag = {
@@ -418,7 +419,7 @@ def _inflate_to_feasible(prob, active, Q0):
     return None
 
 
-def _penalty_descent(prob, active, Q0, rounds, inner_iter, tol):
+def _penalty_descent(prob, active, Q0):
     """Minimize Ent_p(Q) + rho sum_k (target_k - t_k)_+^2 over the clipped
     box, multiplying rho by ten each round."""
     p = prob.p
@@ -444,15 +445,14 @@ def _penalty_descent(prob, active, Q0, rounds, inner_iter, tol):
         return value_fn, grad_fn
 
     Q = np.array(_as_matrix(Q0), dtype=float)
-    for _ in range(rounds):
+    for _ in range(8):
         value_fn, grad_fn = make_fns(rho)
-        Q, _, _, _ = _pga(value_fn, grad_fn, Q, inner_iter, tol)
+        Q, _, _, _ = _pga(value_fn, grad_fn, Q, 150, 1e-8)
         rho *= 10.0
     return Q
 
 
-def phi_np_solve(prob, rounds=8, inner_iter=150, tol=1e-8, seed=0,
-                 extra_candidates=None):
+def phi_np_solve(prob, extra_candidates=None):
     """Minimize Ent_p(Q) subject to t(F_k, Q/p) >= 1 + s_k for s_k > 0.
 
     Zero targets impose no constraint, so s = 0 returns exactly zero at
@@ -504,7 +504,7 @@ def phi_np_solve(prob, rounds=8, inner_iter=150, tol=1e-8, seed=0,
     seed_idx = int(np.argmin([entropy(q, p) for _, q in candidates])) \
         if candidates else None
     start = candidates[seed_idx][1] if candidates else np.ones_like(flat)
-    refined = _penalty_descent(prob, active, start, rounds, inner_iter, tol)
+    refined = _penalty_descent(prob, active, start)
     fixed = _inflate_to_feasible(prob, active, refined)
     if fixed is not None:
         candidates.append(("descent", fixed))
@@ -523,8 +523,8 @@ def phi_np_solve(prob, rounds=8, inner_iter=150, tol=1e-8, seed=0,
     if best is None:
         raise DomainError("density floors unreachable even at the complete graph")
     label, value, Q, t, residual = best
-    for w in witness_vals:
-        assert value <= w + 1e-9, "witness dominance violated"
+    if any(value > w + 1e-9 for w in witness_vals):
+        raise InternalError("witness dominance violated")
     _PHI_CACHE.setdefault(key, []).append((tuple(prob.s), value, np.array(Q)))
     diag = {"candidates": rows, "selected": label,
             "witness_value": min(witness_vals) if witness_vals else math.nan,

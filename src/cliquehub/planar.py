@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .motifs import indep_poly, validate_family
 
 TIE_TOL = 1e-9
 DEDUP_TOL = 1e-8
 NEAR_WINDOW = 0.1
 FEAS_TOL = 1e-8
+ACTIVE_TOL = 1e-7
 
 
 @dataclass
@@ -138,8 +139,7 @@ class PlanarProgram:
         """s(a, b) = T(a, b) - 1, the excess vector at a point."""
         return np.maximum(self.t_values(a, b) - 1.0, 0.0)
 
-    def solve(self, s, tie_tol=TIE_TOL, dedup_tol=DEDUP_TOL,
-              near_window=NEAR_WINDOW):
+    def solve(self, s, tie_tol=TIE_TOL):
         s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
         if len(s) != self.m:
             raise DomainError("need one target per motif")
@@ -187,63 +187,56 @@ class PlanarProgram:
         for a, b, obj in feasible:
             gap = obj - value
             if gap <= tie_tol:
-                if all(abs(a - o.a) + abs(b - o.b) > dedup_tol for o in chosen):
+                if all(abs(a - o.a) + abs(b - o.b) > DEDUP_TOL for o in chosen):
                     chosen.append(PlanarOptimizer(a, b, _active(cons, a, b)))
-            elif gap <= near_window:
-                if all(abs(a - q[0]) + abs(b - q[1]) > dedup_tol for q in near):
+            elif gap <= NEAR_WINDOW:
+                if all(abs(a - q[0]) + abs(b - q[1]) > DEDUP_TOL for q in near):
                     near.append((a, b, gap))
 
         chosen.sort(key=lambda o: (o.a, o.b))
         for o in chosen:
             if len(o.active) < 2:
-                raise AssertionError(
+                raise InternalError(
                     "optimizer (%g, %g) has fewer than two active constraints"
                     % (o.a, o.b))
         return PlanarSolution(value, chosen, s, tie_tol, near, feasible)
 
 
-def _active(cons, a, b, tol=1e-7):
+def _active(cons, a, b):
     out = []
     for c in cons:
-        if abs(c.value(a, b) - c.target) <= tol * max(1.0, c.target):
+        if abs(c.value(a, b) - c.target) <= ACTIVE_TOL * max(1.0, c.target):
             out.append(c.index)
-    if a <= tol:
+    if a <= ACTIVE_TOL:
         out.append("a=0")
-    if b <= tol:
+    if b <= ACTIVE_TOL:
         out.append("b=0")
     return out
 
 
-def phi_solve(motifs, s, tie_tol=TIE_TOL, dedup_tol=DEDUP_TOL,
-              near_window=NEAR_WINDOW, allow_mixed_max_degree=False):
+def phi_solve(motifs, s, tie_tol=TIE_TOL):
     """Minimize a/2 + b subject to T_k(a, b) >= 1 + s_k for all k."""
-    return PlanarProgram(motifs, allow_mixed_max_degree).solve(
-        s, tie_tol, dedup_tol, near_window)
+    return PlanarProgram(motifs).solve(s, tie_tol)
 
 
-def phi_region_emit(motifs, s, a_max=None, b_max=None, na=101, nb=101,
-                    allow_mixed_max_degree=False):
+def phi_region_emit(motifs, s, na=101, nb=101):
     """Feasibility grid rows and per-motif level-curve polylines.
 
     Returns (rows, curves): rows are (a, b, feasible, objective) tuples;
     curves maps motif index -> list of (a, b) points along T_k = 1 + s_k.
     """
-    prog = PlanarProgram(motifs, allow_mixed_max_degree)
+    prog = PlanarProgram(motifs)
     s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
-    if len(s) != prog.m:
-        raise DomainError("need one target per motif")
     sol = prog.solve(s)
     cons = [
         _Constraint(k, prog.polys[k], prog.regular[k], prog.vs[k], sk)
         for k, sk in enumerate(s) if sk > 0.0
     ]
-    if a_max is None:
-        spread = [c.a_star for c in cons if c.a_star is not None]
-        spread += [2.0 * o.a for o in sol.optimizers]
-        a_max = 1.25 * max(spread + [1.0])
-    if b_max is None:
-        b_max = 1.25 * max([c.b_star for c in cons]
-                           + [2.0 * o.b for o in sol.optimizers] + [1.0])
+    spread = [c.a_star for c in cons if c.a_star is not None]
+    spread += [2.0 * o.a for o in sol.optimizers]
+    a_max = 1.25 * max(spread + [1.0])
+    b_max = 1.25 * max([c.b_star for c in cons]
+                       + [2.0 * o.b for o in sol.optimizers] + [1.0])
     rows = []
     for a in np.linspace(0.0, a_max, na):
         for b in np.linspace(0.0, b_max, nb):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, InternalError
 from .hamiltonian import HamiltonianSpec, h_value, psi_solve, validate_hamiltonian
 from .motifs import WeightTable, _as_matrix, hom_density, hom_density_delta, rate, validate_family
 from .nmf import CliqueHub, overlay_sizes
@@ -24,6 +24,16 @@ CLAMP = 700.0
 ENUM_MAX_VERTICES = 6
 KERNEL_MAX_STATES = 4096
 RESYNC_SWEEPS = 64
+# run_experiment refuses runs whose resident arrays would pass this many bytes
+SAMPLE_MEMORY = 2 ** 29
+
+
+def _sample_bytes(n, chains):
+    """Bytes a sample run holds at n vertices: 92 per pair for the pair list
+    (a list slot, a 2-tuple and one int), and 8 n^2 for each of seven
+    working n x n float64 arrays (chain state, start draw, detection copies,
+    overlay, norm workspace) plus one kept final graph per chain."""
+    return 92 * (n * (n - 1) // 2) + 8 * n * n * (7 + chains)
 
 
 def _sigmoid(z):
@@ -240,7 +250,8 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
     if abs(total - 1.0) > 1e-12:
         raise DomainError("enumeration failed to normalize")
     nu = nu / total
-    assert abs(float(nu.sum()) - 1.0) <= 1e-14
+    if abs(float(nu.sum()) - 1.0) > 1e-14:
+        raise InternalError("enumeration lost normalization")
     log_z = lam - m * math.log1p(-p)
     return EnumerationResult(lam=lam, log_z=log_z, nu=nu, t_table=t_table,
                              pairs=pairs)
@@ -279,23 +290,21 @@ def transition_matrix(n, p, spec=None):
     return kernel
 
 
-def empirical_distribution(n, p, spec=None, steps=10 ** 6, seed=0, chain=0,
-                           burnin=0):
+def empirical_distribution(n, p, spec=None, steps=10 ** 6, seed=0):
     """State-occupation frequencies of a heat-bath chain started empty."""
     table, m = _probability_table(n, p, spec)
-    rng = chain_rng(seed, chain)
-    ks = rng.integers(0, m, size=steps + burnin).tolist()
-    us = rng.random(steps + burnin).tolist()
+    rng = chain_rng(seed, 0)
+    ks = rng.integers(0, m, size=steps).tolist()
+    us = rng.random(steps).tolist()
     counts = [0] * (1 << m)
     state = 0
-    for idx, (k, u) in enumerate(zip(ks, us)):
+    for k, u in zip(ks, us):
         bit = 1 << k
         if u < table[state][k]:
             state |= bit
         else:
             state &= ~bit
-        if idx >= burnin:
-            counts[state] += 1
+        counts[state] += 1
     return np.array(counts, dtype=float) / float(steps)
 
 
@@ -307,34 +316,13 @@ def total_variation(dist_a, dist_b):
 # spectral distance and structure certificates
 
 
-def spectral_distance(x, y, restarts=3, tol=1e-6, max_iter=2000, seed=0):
-    """Operator norm of the difference by power iteration, 3 random restarts."""
+def spectral_distance(x, y):
+    """Operator norm (largest singular value) of the difference."""
     a = _as_matrix(x)
     b = _as_matrix(y)
     if a.shape != b.shape:
         raise DomainError("shape mismatch")
-    diff = a - b
-    n = diff.shape[0]
-    if not np.any(diff):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(restarts):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        prev = 0.0
-        for _ in range(max_iter):
-            w = diff @ v
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                break
-            v = w / norm
-            if abs(norm - prev) <= tol * max(1.0, norm):
-                prev = norm
-                break
-            prev = norm
-        best = max(best, prev)
-    return best
+    return float(np.linalg.norm(a - b, 2))
 
 
 def almost_certificate(adj, clique, hub, p, delta):
@@ -360,13 +348,13 @@ def almost_certificate(adj, clique, hub, p, delta):
     return xi
 
 
-def spectral_certificate(adj, clique, hub, p, delta, seed=0):
+def spectral_certificate(adj, clique, hub, p, delta):
     """Spectral slack: ||G - Q^{I,J}|| / (n p^{delta/2})."""
     a = _as_matrix(adj)
     n = a.shape[0]
     overlay = CliqueHub(n, p, tuple(int(v) for v in clique),
                         tuple(int(v) for v in hub))
-    dist = spectral_distance(a, overlay.matrix(), seed=seed)
+    dist = spectral_distance(a, overlay.matrix())
     return dist / (n * p ** (delta / 2.0))
 
 
@@ -480,7 +468,7 @@ def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True,
     clique = tuple(group)
     hub = tuple(sorted(hub))
     xi1 = almost_certificate(a, clique, hub, p, delta)
-    xi2 = spectral_certificate(a, clique, hub, p, delta, seed=seed) \
+    xi2 = spectral_certificate(a, clique, hub, p, delta) \
         if spectral else math.nan
     disc = []
     if samples and spectral:
@@ -509,9 +497,9 @@ def run_experiment(config):
     """Run heat-bath chains and record thinned trajectory rows.
 
     Config keys: n, p, sweeps (required); spec, chains, burnin, thin, seed,
-    delta_hub, xi, detect, spectral, start ("empty" or "er").  Rows follow
-    the trajectory layout (chain, sweep, edges, t_1..t_m, hubSize,
-    cliqueSize, xi1, xi2).
+    delta_hub, xi, detect, spectral.  Each chain starts from an ER(p) draw.
+    Rows follow the trajectory layout (chain, sweep, edges, t_1..t_m,
+    hubSize, cliqueSize, xi1, xi2).
     """
     cfg = dict(config)
     try:
@@ -529,17 +517,21 @@ def run_experiment(config):
     xi = float(cfg.pop("xi", 0.05))
     detect = bool(cfg.pop("detect", True))
     spectral = bool(cfg.pop("spectral", n <= 512))
-    start = cfg.pop("start", "er")
     if cfg:
         raise DomainError("unknown config keys: %s" % sorted(cfg))
+    if n < 2:
+        raise DomainError("need at least two vertices")
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie in (0, 1)")
     if sweeps < 1:
         raise DomainError("sweeps must be positive")
     if chains < 1 or burnin < 0 or thin < 1:
         raise DomainError("bad chain controls")
-    if start not in ("empty", "er"):
-        raise DomainError("start must be 'empty' or 'er'")
+    need = _sample_bytes(n, chains)
+    if need > SAMPLE_MEMORY:
+        raise CapabilityError(
+            "sample at n=%d with %d chain(s) needs about %d MiB, over the "
+            "%d MiB cap" % (n, chains, need >> 20, SAMPLE_MEMORY >> 20))
 
     live, family, delta = _live_spec(spec)
     m = len(family)
@@ -552,12 +544,8 @@ def run_experiment(config):
     summary_drift = 0.0
     for c in range(chains):
         rng = chain_rng(seed, c)
-        adjacency = None
-        if start == "er":
-            u = rng.random((n, n))
-            adj = np.triu(u < p, k=1).astype(float)
-            adjacency = adj + adj.T
-        chain = ErgmChain(n, p, spec, adjacency=adjacency)
+        adj = np.triu(rng.random((n, n)) < p, k=1).astype(float)
+        chain = ErgmChain(n, p, spec, adjacency=adj + adj.T)
         for _ in range(burnin):
             chain.sweep(rng)
         for s in range(1, sweeps + 1):

@@ -285,7 +285,7 @@ def test_criterion_8_certificates_and_trends():
         values = {}
         for s in sorted(points, reverse=True):
             prob = NmfProblem(n, 0.2, s=s, family=family)
-            sol = phi_np_solve(prob, seed=0)
+            sol = phi_np_solve(prob)
             assert sol.value <= sol.diagnostics["witness_value"] + 1e-9
             values[s] = sol.value
         for lo, hi in zip(points, points[1:]):

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from cliquehub import cli, finner
+from cliquehub import cli, finner, sampler
+from cliquehub.errors import InternalError
 from cliquehub.motifs import WeightTable, er_table
 from cliquehub.hamiltonian import (HamiltonianSpec, HamiltonianTerm,
                                    hamiltonian_to_json_dict)
@@ -112,6 +113,38 @@ def test_capability_error_exit_2(capsys, tmp_path):
     assert err.startswith("error:capability:")
 
 
+def test_sample_size_cap_exit_2(capsys, monkeypatch):
+    # the largest n whose sample run fits the memory cap with one chain;
+    # the run one vertex above it must stop before allocating anything
+    cap = 2048
+    assert sampler._sample_bytes(cap, 1) <= sampler.SAMPLE_MEMORY
+    while sampler._sample_bytes(cap + 1, 1) <= sampler.SAMPLE_MEMORY:
+        cap += 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the size cap")
+
+    monkeypatch.setattr(sampler, "ErgmChain", refuse)
+    monkeypatch.setattr(sampler, "chain_rng", refuse)
+    code, out, err = run_cli(capsys, ["sample", "--n", str(cap + 1),
+                                      "--p", "0.1", "--sweeps", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:capability:") and err.count("\n") == 1
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("invariant broke")
+
+    monkeypatch.setattr(cli, "phi_solve", broken)
+    code, out, err = run_cli(capsys, ["planar-phi", "--motifs", "C3",
+                                      "--s", "1.0"])
+    assert code == 3
+    assert out == ""
+    assert err == "error:internal:invariant broke\n"
+
+
 def test_missing_file_exit_1(capsys):
     code, out, err = run_cli(capsys, ["psi", "--hamiltonian",
                                       "no-such-file.json"])
@@ -196,6 +229,29 @@ def test_rerun_is_byte_identical(capsys, tmp_path):
         assert code == 0
     for name in ("region.csv", "curves.json", "optimizers.csv", "line.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# combined manifest digests of the figure bundles; refactors must keep the
+# emitted files byte-identical
+FIGURE_DIGESTS = {
+    "fig2A": "a0d1e76ca847bcb99b6a7e1d452e0d18ddd4d2963f2ca2a870a9713f9ad80cdc",
+    "fig2B": "6642b103ab726ae66dff0dbe683c3363ec010cef74982e1e730951222191cf0f",
+    "fig2C": "d33c323bf7384549694eba59123600badcf52f8baadb03c939970db665ed4db0",
+    "fig2D": "09233e297f2aaf8661bb319fc0d1d1c2f54f2552c9cf12dbc5ab2c47c8b73ab3",
+    "fig3": "b1dc2d8219d4b1a3dfead34dd50e43bb87d5f4e781655aa25a4b595b58c492f6",
+}
+
+
+def test_figure_bundles_are_byte_identical_to_the_pins(capsys, tmp_path):
+    got = {}
+    for scenario in FIGURE_DIGESTS:
+        out_dir = tmp_path / scenario
+        code, out, err = run_cli(capsys, ["emit-figure", "--scenario",
+                                          scenario, "--out", str(out_dir)])
+        assert code == 0
+        got[scenario] = json.loads(
+            (out_dir / "manifest.json").read_text())["digest"]
+    assert got == FIGURE_DIGESTS
 
 
 def test_hom_density_binary_and_json_tables(capsys, tmp_path):

@@ -239,3 +239,35 @@ def test_monotone_selection():
     assert ok2
     ok3, _ = monotone_selection_check("K12", 0.9, [0.5, 1.0, 2.0])
     assert ok3
+
+
+def _l1_close(x, y, radius):
+    return (sum(abs(u - v) for u, v in zip(x, y))
+            <= radius * (1.0 + sum(abs(u) for u in x)))
+
+
+def test_psi_reports_one_point_per_optimum():
+    # the K12+C3 model of the sampling benchmark at seed 0; its direct runs
+    # stop up to 1e-6 apart around one maximum
+    spec = HamiltonianSpec(("K12", "C3"),
+                           (HamiltonianTerm(0, 0.771469, 0.994901, 0.688937),
+                            HamiltonianTerm(1, 0.362802, 1.02689, 0.46201)))
+    sol = psi_solve(spec)
+    radius = math.sqrt(1e-8 * (1.0 + abs(sol.psi)))
+    assert sol.optimizers and sol.s_star
+    for points in (sol.optimizers, sol.s_star):
+        for i, x in enumerate(points):
+            assert not any(_l1_close(x, y, radius) for y in points[:i])
+
+
+def test_psi_keeps_both_optimizers_at_the_phase_tie():
+    # at the critical coupling the hub point (0, 2/3) and the clique point
+    # (4, 0) tie; merging near-duplicates must not merge them
+    beta_c = solve_beta_c(EdgeFModel("C3", 1.0, 1.5))
+    spec = HamiltonianSpec(("C3",), (HamiltonianTerm(0, beta_c, 1.0, 0.5),))
+    sol = psi_solve(spec)
+    assert len(sol.optimizers) == 2
+    (a0, b0), (a1, b1) = sol.optimizers
+    assert abs(a0) < 1e-6 and b0 == pytest.approx(2 / 3, abs=1e-5)
+    assert a1 == pytest.approx(4.0, abs=1e-4) and abs(b1) < 1e-6
+    assert len(sol.s_star) == 2

@@ -191,7 +191,7 @@ def test_phi_zero_targets_exact():
 def test_phi_np_feasible_and_dominated():
     clear_phi_cache()
     prob = NmfProblem(n=48, p=0.2, s=(1.0,), family=("C3",))
-    sol = phi_np_solve(prob, seed=0)
+    sol = phi_np_solve(prob)
     assert sol.value > 0.0
     assert sol.residual <= 1e-6
     t = hom_density(prob.family[0], sol.table, scale=0.2)
@@ -206,7 +206,7 @@ def test_phi_np_monotone_chain_decreasing_solve():
     values = {}
     for s in (2.5, 2.0, 1.5, 1.0, 0.5):
         prob = NmfProblem(n=32, p=0.25, s=(s,), family=("C3",))
-        values[s] = phi_np_solve(prob, seed=1).value
+        values[s] = phi_np_solve(prob).value
     chain = sorted(values)
     for lo, hi in zip(chain, chain[1:]):
         assert values[lo] <= values[hi] + 1e-12
@@ -215,9 +215,9 @@ def test_phi_np_monotone_chain_decreasing_solve():
 def test_phi_np_cache_candidates():
     clear_phi_cache()
     prob_hi = NmfProblem(n=24, p=0.3, s=(2.0,), family=("C3",))
-    phi_np_solve(prob_hi, seed=0)
+    phi_np_solve(prob_hi)
     prob_lo = NmfProblem(n=24, p=0.3, s=(1.0,), family=("C3",))
-    sol = phi_np_solve(prob_lo, seed=0)
+    sol = phi_np_solve(prob_lo)
     labels = [row["label"] for row in sol.diagnostics["candidates"]]
     assert "cache" in labels
 
@@ -240,7 +240,7 @@ def test_phi_np_extra_candidates():
             lo = mid
     q = np.full((24, 24), hi)
     np.fill_diagonal(q, 0.0)
-    sol = phi_np_solve(prob, seed=0, extra_candidates=[q])
+    sol = phi_np_solve(prob, extra_candidates=[q])
     assert sol.value <= entropy(q, 0.3) + 1e-9
 
 

@@ -172,6 +172,15 @@ def test_spectral_distance_examples():
     pair = np.zeros((n, n))
     pair[1, 2] = pair[2, 1] = 1.0
     assert abs(spectral_distance(pair, zero) - 1.0) <= 1e-8
+    # the norm is exact: ER(0.1) against a 5-clique overlay matches the
+    # largest eigenvalue modulus, and a nilpotent difference gives 1
+    g = er_graph(100, 0.1, seed=3)
+    overlay = CliqueHub(100, 0.1, tuple(range(5)), ()).matrix()
+    want = float(np.abs(np.linalg.eigvalsh(g - overlay)).max())
+    assert abs(spectral_distance(g, overlay) - want) <= 1e-12 * want
+    shift = np.zeros((2, 2))
+    shift[0, 1] = 1.0
+    assert abs(spectral_distance(shift, np.zeros((2, 2))) - 1.0) <= 1e-12
 
 
 def test_planted_structure_recovered_exactly():

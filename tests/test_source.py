@@ -1,0 +1,24 @@
+import ast
+import pathlib
+
+import cliquehub
+
+SOURCES = sorted(pathlib.Path(cliquehub.__file__).parent.glob("*.py"))
+
+
+def test_no_asserts_in_the_package():
+    # invariants must raise InternalError: assert statements vanish under
+    # python -O, and an AssertionError escapes the CLI as a traceback
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d assert" % (path.name, node.lineno))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append("%s:%d AssertionError" % (path.name,
+                                                           node.lineno))
+    assert SOURCES
+    assert found == []
