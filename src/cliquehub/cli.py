@@ -322,8 +322,8 @@ def cmd_sample(args, manifest):
     if args.emit_traj:
         manifest.write_csv(args.emit_traj, result.columns, result.rows)
     if args.emit_graph:
-        final = result.tables[max(result.tables)]
-        manifest.write_bytes(args.emit_graph, WeightTable(final).to_bytes())
+        manifest.write_bytes(args.emit_graph,
+                             WeightTable(result.final).to_bytes())
     summary = _py(result.summary)
     payload = {"rows": len(result.rows), "summary": summary}
     _emit(args, payload)

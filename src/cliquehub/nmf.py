@@ -112,9 +112,8 @@ class CliqueHub:
             raise DomainError("clique and hub sets must be disjoint")
         if len(self.clique) + len(self.hub) > self.n:
             raise DomainError("overlay does not fit in n vertices")
-        m = self.matrix()
-        iu = np.triu_indices(self.n, k=1)
-        ones = int(np.count_nonzero(m[iu] == 1.0))
+        k_i, k_j = len(self.clique), len(self.hub)
+        ones = k_i * (k_i - 1) // 2 + k_j * (self.n - k_j)
         self.entropy = ones * math.log(1.0 / self.p)
 
     def matrix(self):
@@ -124,8 +123,9 @@ class CliqueHub:
         if idx_i.size:
             m[np.ix_(idx_i, idx_i)] = 1.0
         if idx_j.size:
-            comp = np.array([v for v in range(self.n) if v not in self.hub],
-                            dtype=int)
+            outside = np.ones(self.n, dtype=bool)
+            outside[idx_j] = False
+            comp = np.flatnonzero(outside)
             m[np.ix_(idx_j, comp)] = 1.0
             m[np.ix_(comp, idx_j)] = 1.0
         np.fill_diagonal(m, 0.0)

@@ -10,7 +10,7 @@ almost-clique, and reports edge-count and spectral certificates.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -28,12 +28,13 @@ RESYNC_SWEEPS = 64
 SAMPLE_MEMORY = 2 ** 29
 
 
-def _sample_bytes(n, chains):
+def _sample_bytes(n):
     """Bytes a sample run holds at n vertices: 92 per pair for the pair list
     (a list slot, a 2-tuple and one int), and 8 n^2 for each of seven
     working n x n float64 arrays (chain state, start draw, detection copies,
-    overlay, norm workspace) plus one kept final graph per chain."""
-    return 92 * (n * (n - 1) // 2) + 8 * n * n * (7 + chains)
+    overlay, norm workspace) plus the final graph.  One chain is alive at a
+    time, so the chain count does not enter."""
+    return 92 * (n * (n - 1) // 2) + 8 * n * n * 8
 
 
 def _sigmoid(z):
@@ -340,8 +341,9 @@ def almost_certificate(adj, clique, hub, p, delta):
         deficit = clique.size ** 2 - got
         xi = max(xi, deficit / (2.0 * scale))
     if hub.size >= 1:
-        comp = np.array([v for v in range(n) if v not in set(hub.tolist())],
-                        dtype=int)
+        outside = np.ones(n, dtype=bool)
+        outside[hub] = False
+        comp = np.flatnonzero(outside)
         got = float(a[np.ix_(hub, comp)].sum())
         deficit = hub.size * (n - hub.size) - got
         xi = max(xi, deficit / scale)
@@ -371,9 +373,11 @@ def discrepancy_samples(adj, clique, hub, p, delta, xi, count=20, seed=0):
     rng = np.random.default_rng(seed)
     clique = list(clique)
     hub = list(hub)
-    hub_set = set(hub)
-    comp_hub = [v for v in range(n) if v not in hub_set]
-    outside = [v for v in comp_hub if v not in set(clique)]
+    free = np.ones(n, dtype=bool)
+    free[hub] = False
+    comp_hub = np.flatnonzero(free)
+    free[clique] = False
+    outside = np.flatnonzero(free)
     rows = []
     for _ in range(count):
         kind = str(rng.choice(["clique", "hub", "outside"]))
@@ -381,7 +385,7 @@ def discrepancy_samples(adj, clique, hub, p, delta, xi, count=20, seed=0):
             size = max(2, len(clique) // 2)
             a_set = rng.choice(clique, size=size, replace=False)
             b_set = rng.choice(clique, size=size, replace=False)
-        elif kind == "hub" and hub and comp_hub:
+        elif kind == "hub" and hub and comp_hub.size:
             a_set = np.asarray(hub)
             size = max(1, len(comp_hub) // 2)
             b_set = rng.choice(comp_hub, size=size, replace=False)
@@ -413,35 +417,32 @@ class StructureReport:
     hub: tuple
     xi1: float
     xi2: float
-    thresholds: dict
-    discrepancy: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
 
-def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True,
-                     seed=0, samples=0):
+def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True):
     """Degree-threshold hub detection plus greedy clique densification.
 
     Hub rows are those of degree at least (1 - delta_hub) n.  Clique
     candidates are the remaining vertices whose degree away from the hub is
     at least np + sqrt(n); the candidate set is peeled (drop the vertex of
     lowest inner degree while the inner density is below 1 - 2 xi) and then
-    greedily grown back.  Certificates are computed for the detected pair.
+    greedily grown back in vertex order.  Returns the clique and hub as
+    sorted tuples with the edge-count slack xi1 and, when spectral is set,
+    the spectral slack xi2 (NaN otherwise).
     """
     a = _as_matrix(adj)
     if not np.all((a == 0.0) | (a == 1.0)):
         raise DomainError("detection needs a binary graph")
     n = a.shape[0]
     deg = a.sum(axis=1)
-    hub = [v for v in range(n) if deg[v] >= (1.0 - delta_hub) * n]
-    hub_set = set(hub)
-    rest = np.array([v for v in range(n) if v not in hub_set], dtype=int)
-    sub = a[np.ix_(rest, rest)]
-    deg_rest = sub.sum(axis=1)
+    is_hub = deg >= (1.0 - delta_hub) * n
+    hub = np.flatnonzero(is_hub)
+    rest = np.flatnonzero(~is_hub)
+    # 0/1 sums are exact in float64, so subtracting the hub columns gives
+    # the same degrees as summing the rest x rest block
+    deg_rest = deg[rest] - a[np.ix_(rest, hub)].sum(axis=1)
     thr = n * p + math.sqrt(n)
-    cand = [int(rest[i]) for i in range(len(rest)) if deg_rest[i] >= thr]
-
-    group = list(cand)
+    group = rest[deg_rest >= thr].tolist()
     target = 1.0 - 2.0 * xi
     while len(group) >= 3:
         block = a[np.ix_(group, group)]
@@ -454,30 +455,28 @@ def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True,
     if len(group) < 3:
         group = []
     if group:
-        others = [v for v in range(n) if v not in hub_set and v not in set(group)]
-        for v in others:
-            inner_deg = float(a[v, group].sum())
-            if inner_deg >= target * len(group):
-                grown = group + [v]
-                block = a[np.ix_(grown, grown)]
-                density = float(block.sum()) / (len(grown) * (len(grown) - 1))
-                if density >= target:
-                    group = grown
+        free = ~is_hub
+        free[group] = False
+        others = np.flatnonzero(free)
+        # inner[k] is a[others[k], group].sum() for the current group
+        inner = a[np.ix_(others, group)].sum(axis=1)
+        total = float(a[np.ix_(group, group)].sum())
+        for k, v in enumerate(others.tolist()):
+            if inner[k] >= target * len(group):
+                grown = total + inner[k] + a[group, v].sum() + a[v, v]
+                size = len(group) + 1
+                if grown / (size * (size - 1)) >= target:
+                    group.append(v)
+                    total = grown
+                    inner += a[others, v]
         group = sorted(group)
 
     clique = tuple(group)
-    hub = tuple(sorted(hub))
+    hub = tuple(hub.tolist())
     xi1 = almost_certificate(a, clique, hub, p, delta)
     xi2 = spectral_certificate(a, clique, hub, p, delta) \
         if spectral else math.nan
-    disc = []
-    if samples and spectral:
-        disc = discrepancy_samples(a, clique, hub, p, delta, xi2,
-                                   count=samples, seed=seed)
-    return StructureReport(clique=clique, hub=hub, xi1=xi1, xi2=xi2,
-                           thresholds={"hub_degree": (1.0 - delta_hub) * n,
-                                       "clique_degree": thr},
-                           discrepancy=disc)
+    return StructureReport(clique=clique, hub=hub, xi1=xi1, xi2=xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +487,19 @@ def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True,
 class ExperimentResult:
     columns: list
     rows: list
-    reports: dict
     summary: dict
-    tables: dict = field(default_factory=dict)
+    final: np.ndarray
 
 
 def run_experiment(config):
-    """Run heat-bath chains and record thinned trajectory rows.
+    """Run heat-bath chains one after another and record thinned rows.
 
     Config keys: n, p, sweeps (required); spec, chains, burnin, thin, seed,
-    delta_hub, xi, detect, spectral.  Each chain starts from an ER(p) draw.
-    Rows follow the trajectory layout (chain, sweep, edges, t_1..t_m,
-    hubSize, cliqueSize, xi1, xi2).
+    delta_hub, xi, detect.  Each chain starts from an ER(p) draw and is
+    released before the next one is built; `final` is the last chain's
+    graph.  Rows follow the trajectory layout (chain, sweep, edges,
+    t_1..t_m, hubSize, cliqueSize, xi1, xi2), chain by chain in sweep order.
+    The spectral certificate xi2 is computed for n <= 512 and is NaN above.
     """
     cfg = dict(config)
     try:
@@ -516,7 +516,6 @@ def run_experiment(config):
     delta_hub = float(cfg.pop("delta_hub", 0.5))
     xi = float(cfg.pop("xi", 0.05))
     detect = bool(cfg.pop("detect", True))
-    spectral = bool(cfg.pop("spectral", n <= 512))
     if cfg:
         raise DomainError("unknown config keys: %s" % sorted(cfg))
     if n < 2:
@@ -527,11 +526,11 @@ def run_experiment(config):
         raise DomainError("sweeps must be positive")
     if chains < 1 or burnin < 0 or thin < 1:
         raise DomainError("bad chain controls")
-    need = _sample_bytes(n, chains)
+    need = _sample_bytes(n)
     if need > SAMPLE_MEMORY:
         raise CapabilityError(
-            "sample at n=%d with %d chain(s) needs about %d MiB, over the "
-            "%d MiB cap" % (n, chains, need >> 20, SAMPLE_MEMORY >> 20))
+            "sample at n=%d needs about %d MiB, over the %d MiB cap"
+            % (n, need >> 20, SAMPLE_MEMORY >> 20))
 
     live, family, delta = _live_spec(spec)
     m = len(family)
@@ -539,13 +538,12 @@ def run_experiment(config):
                + ["t_%d" % (k + 1) for k in range(m)]
                + ["hubSize", "cliqueSize", "xi1", "xi2"])
     rows = []
-    reports = {}
-    tables = {}
     summary_drift = 0.0
     for c in range(chains):
         rng = chain_rng(seed, c)
-        adj = np.triu(rng.random((n, n)) < p, k=1).astype(float)
-        chain = ErgmChain(n, p, spec, adjacency=adj + adj.T)
+        draw = np.triu(rng.random((n, n)) < p, k=1).astype(float)
+        chain = ErgmChain(n, p, spec, adjacency=draw + draw.T)
+        del draw
         for _ in range(burnin):
             chain.sweep(rng)
         for s in range(1, sweeps + 1):
@@ -556,21 +554,19 @@ def run_experiment(config):
                 rep = detect_structure(chain.adj, p,
                                        delta if delta is not None else 1,
                                        delta_hub=delta_hub, xi=xi,
-                                       spectral=spectral, seed=seed)
+                                       spectral=n <= 512)
                 hub_size, clique_size = len(rep.hub), len(rep.clique)
                 xi1, xi2 = rep.xi1, rep.xi2
             else:
-                rep = None
                 hub_size = clique_size = 0
                 xi1 = xi2 = math.nan
             rows.append([c, s, chain.edge_count()]
                         + [float(v) for v in chain.t]
                         + [hub_size, clique_size, xi1, xi2])
         chain.resync()
-        reports[c] = rep
-        tables[c] = np.array(chain.adj)
         summary_drift = max(summary_drift, chain.max_drift)
-    rows.sort(key=lambda row: (row[0], row[1]))
+        final = chain.adj
+        del chain
 
     summary = {"cache_drift": summary_drift, "rate": rate(n, p, delta)
                if delta is not None else None}
@@ -580,7 +576,7 @@ def run_experiment(config):
             summary["limit_optimizers"] = psi.optimizers
             summary["target_sizes"] = [overlay_sizes(n, p, delta, a, b)
                                        for a, b in psi.optimizers]
-        except Exception as err:  # degenerate objectives stay reportable
+        except DomainError as err:  # degenerate objectives stay reportable
             summary["limit_error"] = str(err)
-    return ExperimentResult(columns=columns, rows=rows, reports=reports,
-                            summary=summary, tables=tables)
+    return ExperimentResult(columns=columns, rows=rows, summary=summary,
+                            final=final)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cliquehub import cli, finner, sampler
-from cliquehub.errors import InternalError
+from cliquehub.errors import DegeneracyError, DomainError, InternalError
 from cliquehub.motifs import WeightTable, er_table
 from cliquehub.hamiltonian import (HamiltonianSpec, HamiltonianTerm,
                                    hamiltonian_to_json_dict)
@@ -114,11 +114,11 @@ def test_capability_error_exit_2(capsys, tmp_path):
 
 
 def test_sample_size_cap_exit_2(capsys, monkeypatch):
-    # the largest n whose sample run fits the memory cap with one chain;
-    # the run one vertex above it must stop before allocating anything
+    # the largest n whose sample run fits the memory cap; the run one
+    # vertex above it must stop before allocating anything
     cap = 2048
-    assert sampler._sample_bytes(cap, 1) <= sampler.SAMPLE_MEMORY
-    while sampler._sample_bytes(cap + 1, 1) <= sampler.SAMPLE_MEMORY:
+    assert sampler._sample_bytes(cap) <= sampler.SAMPLE_MEMORY
+    while sampler._sample_bytes(cap + 1) <= sampler.SAMPLE_MEMORY:
         cap += 1
 
     def refuse(*args, **kwargs):
@@ -131,6 +131,45 @@ def test_sample_size_cap_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:capability:") and err.count("\n") == 1
+
+
+def test_sample_cap_ignores_the_chain_count(capsys, monkeypatch):
+    # one chain is alive at a time, so four chains at n=2048 pass the cap
+    # and reach the first chain's draw
+    def stop(*args, **kwargs):
+        raise DomainError("past the cap")
+
+    monkeypatch.setattr(sampler, "chain_rng", stop)
+    code, out, err = run_cli(capsys, ["sample", "--n", "2048", "--p", "0.1",
+                                      "--sweeps", "1", "--chains", "4"])
+    assert code == 1
+    assert out == ""
+    assert err == "error:domain:past the cap\n"
+
+
+def test_sample_limit_solve_errors(capsys, monkeypatch, tmp_path):
+    # a degenerate limit problem is reported in the summary; a broken
+    # invariant inside the solve is not turned into data
+    ham = triangle_file(tmp_path)
+    argv = ["sample", "--n", "10", "--p", "0.3", "--hamiltonian", ham,
+            "--sweeps", "1"]
+
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError("flat objective")
+
+    monkeypatch.setattr(sampler, "psi_solve", degenerate)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["summary"]["limit_error"] == "flat objective"
+
+    def broken(*args, **kwargs):
+        raise InternalError("invariant broke")
+
+    monkeypatch.setattr(sampler, "psi_solve", broken)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error:internal:invariant broke\n"
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cliquehub.errors import DomainError
 from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm
+from cliquehub.motifs import hom_density, motif_from_name
 from cliquehub.nmf import CliqueHub
 from cliquehub.sampler import (
     ErgmChain,
     _probability_table,
+    _sample_bytes,
     almost_certificate,
     chain_rng,
     detect_structure,
@@ -188,15 +191,33 @@ def test_planted_structure_recovered_exactly():
     clique = tuple(range(40))
     hub = tuple(range(40, 52))
     g = planted_graph(n, p, clique, hub, seed=5)
-    report = detect_structure(g, p, delta, xi=0.05, seed=0)
+    report = detect_structure(g, p, delta, xi=0.05)
     assert tuple(report.clique) == clique
     assert tuple(report.hub) == hub
     assert report.xi1 < 0.05
 
 
+def test_grow_back_restores_clique_members_below_the_threshold():
+    n, p, delta = 300, 0.1, 2.0
+    clique = tuple(range(40))
+    hub = tuple(range(40, 52))
+    g = planted_graph(n, p, clique, hub, seed=5)
+    outside = np.ones(n, dtype=bool)
+    outside[:52] = False
+    for v in (3, 17, 29):
+        g[v, outside] = 0.0
+        g[outside, v] = 0.0
+    # degree away from the hub is now 39 < np + sqrt(n), so these three
+    # are not candidates and only the grow-back step can return them
+    assert g[3].sum() - len(hub) < n * p + math.sqrt(n)
+    report = detect_structure(g, p, delta, xi=0.05)
+    assert report.clique == clique
+    assert report.hub == hub
+
+
 def test_er_graph_triggers_no_structure():
     g = er_graph(300, 0.1, seed=11)
-    report = detect_structure(g, 0.1, 2.0, xi=0.05, seed=0)
+    report = detect_structure(g, 0.1, 2.0, xi=0.05)
     assert len(report.clique) == 0
     assert len(report.hub) == 0
 
@@ -273,7 +294,25 @@ def test_run_experiment_shapes_and_summary():
     assert res.summary["cache_drift"] <= 1e-8
     assert res.summary["rate"] == pytest.approx(
         40 ** 2 * 0.2 ** 2 * math.log(1 / 0.2))
-    assert sorted(res.reports) == [0, 1]
+    # final is the last chain's graph: it recounts to the last row
+    last = res.rows[-1]
+    assert last[:2] == [1, 40]
+    assert int(res.final.sum()) == 2 * last[2]
+    fresh = hom_density(motif_from_name("C3"), res.final, scale=0.2)
+    assert abs(fresh - last[3]) <= 1e-9 * (1.0 + abs(fresh))
+
+
+def test_run_experiment_memory_within_the_cap():
+    # three chains with detection stay under the bound the cap is built on
+    n = 80
+    tracemalloc.start()
+    try:
+        run_experiment(dict(n=n, p=0.1, sweeps=1, chains=3, detect=True,
+                            spec=triangle_spec(0.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _sample_bytes(n)
 
 
 def test_run_experiment_er_density():

@@ -22,3 +22,25 @@ def test_no_asserts_in_the_package():
                                                            node.lineno))
     assert SOURCES
     assert found == []
+
+
+def test_no_catch_all_handlers_in_the_package():
+    # a catch-all turns an InternalError or a CapabilityError into data or
+    # into the wrong exit code; handlers must name what they can act on
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                found.append("%s:%d bare except" % (path.name, node.lineno))
+                continue
+            names = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            for name in names:
+                if isinstance(name, ast.Name) and name.id in (
+                        "Exception", "BaseException"):
+                    found.append("%s:%d except %s" % (path.name, node.lineno,
+                                                      name.id))
+    assert SOURCES
+    assert found == []
