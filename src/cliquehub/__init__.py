@@ -9,7 +9,7 @@ checks for product-measure inequalities.
 __version__ = "0.1.0"
 
 from .errors import CapabilityError, CliqueHubError, DegeneracyError, DomainError
-from .motifs import Motif, WeightTable, hom_density, motif_from_name, t_planar
+from .motifs import Motif, WeightTable, hom_density, motif_from_name
 from .planar import PlanarProgram, phi_solve
 from .hamiltonian import EdgeFModel, HamiltonianSpec, edge_f_solve, psi_solve
 from .nmf import CliqueHub, NmfProblem, nmf_solve, phi_np_solve

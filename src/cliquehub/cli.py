@@ -16,6 +16,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -247,8 +248,9 @@ def cmd_edge_f(args, manifest):
             lo, hi, step = (float(v) for v in args.beta_grid.split(":"))
         except ValueError:
             raise DomainError("--beta-grid wants lo:hi:step")
-        if step <= 0 or hi < lo:
-            raise DomainError("--beta-grid wants lo <= hi and step > 0")
+        if (not all(math.isfinite(v) for v in (lo, hi, step))
+                or step <= 0 or hi < lo):
+            raise DomainError("--beta-grid wants finite lo <= hi and step > 0")
         betas = []
         k = 0
         while lo + k * step <= hi + 1e-12:
@@ -293,8 +295,7 @@ def cmd_nmf(args, manifest):
 def cmd_phi_np(args, manifest):
     motifs = _motif_list(args.motifs)
     s = _float_list(args.s)
-    prob = NmfProblem(args.n, args.p, s=s,
-                      family=tuple(m.name for m in motifs))
+    prob = NmfProblem(args.n, args.p, s=s, family=tuple(motifs))
     sol = phi_np_solve(prob)
     payload = {"value": sol.value,
                "iterations": len(sol.diagnostics["candidates"]),

@@ -340,6 +340,8 @@ class EdgeFModel:
         plan = self.motif.plan
         if plan.kind == "empty" or plan.iso or len(plan.components) > 1:
             raise DomainError("edge-f model needs a connected motif with edges")
+        if not (math.isfinite(self.beta) and math.isfinite(self.shift)):
+            raise DomainError("beta and shift must be finite")
         if self.beta < 0:
             raise DomainError("beta must be nonnegative")
         if not 0 < self.gamma < self.motif.max_degree:

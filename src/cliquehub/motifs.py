@@ -269,6 +269,8 @@ class WeightTable:
             if x.ndim != 2 or x.shape[0] != x.shape[1]:
                 raise DomainError("weight table must be square")
             if x.shape[0] > 0:
+                if not np.all(np.isfinite(x)):
+                    raise DomainError("weights must be finite")
                 if np.max(np.abs(x - x.T)) > 1e-12:
                     raise DomainError("weight table must be symmetric")
                 if np.max(np.abs(np.diag(x))) > 1e-12:
@@ -602,8 +604,8 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
     n = x.shape[0]
     if n == 0:
         raise DomainError("empty graph")
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise DomainError("scale must be positive and finite")
     s = hom_sum(motif, x, engine=engine)
     return s / (scale ** motif.edge_count * float(n) ** motif.vertices)
 
@@ -820,18 +822,7 @@ def hom_density_grad(motif, table, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# planar surrogate and rate normalization
-
-
-def t_planar(motif, a, b):
-    """T_F(a, b) = P_{F*}(b) + a^(v/2) * [F regular]."""
-    if a < 0 or b < 0:
-        raise DomainError("t_planar needs a, b >= 0")
-    p = indep_poly(motif.star_core())
-    val = p(b)
-    if motif.edge_count > 0 and motif.is_regular:
-        val += a ** (motif.vertices / 2.0)
-    return float(val)
+# rate normalization
 
 
 def rate(n, p, delta):

@@ -379,7 +379,9 @@ def clear_phi_cache():
 
 
 def _phi_key(prob):
-    return (tuple(m.name for m in prob.family), prob.n, round(prob.p, 12))
+    # keyed on the motifs themselves: a motif read from a file may carry a
+    # built-in motif's name
+    return (prob.family, prob.n, round(prob.p, 12))
 
 
 def _inflate_to_feasible(prob, active, Q0):
@@ -480,8 +482,7 @@ def phi_np_solve(prob, extra_candidates=None):
         if all(s_prev[k] >= sk for k, sk in enumerate(prob.s)):
             candidates.append(("cache", np.array(Q_prev)))
 
-    prog = PlanarProgram([m.name for m in prob.family],
-                         allow_mixed_max_degree=True)
+    prog = PlanarProgram(prob.family, allow_mixed_max_degree=True)
     limit = prog.solve(prob.s)
     points = [(o.a, o.b) for o in limit.optimizers]
     points += [(a, b) for a, b, _ in limit.near_ties]
@@ -550,8 +551,7 @@ def stability_probe(prob, Q):
         raise DomainError("stability_probe needs a target problem")
     x = _as_matrix(Q)
     n, p = prob.n, prob.p
-    prog = PlanarProgram([m.name for m in prob.family],
-                         allow_mixed_max_degree=True)
+    prog = PlanarProgram(prob.family, allow_mixed_max_degree=True)
     limit = prog.solve(prob.s)
     scale = n * p ** (prob.delta / 2.0)
     reports = []

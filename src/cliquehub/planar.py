@@ -12,6 +12,7 @@ sign scan refined with bisection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,79 +39,11 @@ class PlanarOptimizer:
 class PlanarSolution:
     value: float
     optimizers: list
-    s: tuple
-    tolerance: float
     near_ties: list = field(default_factory=list)  # (a, b, objective gap)
     candidates: list = field(default_factory=list)  # (a, b, objective)
-
-
-class _Constraint:
-    """The level set T_k(a, b) = 1 + s_k for one motif, at a fixed s_k."""
-
-    def __init__(self, index, poly, regular, v, s_k):
-        self.index = index
-        self.poly = poly
-        self.regular = regular
-        self.v = v
-        self.s = float(s_k)
-        self.target = 1.0 + self.s
-        self.b_star = poly.inverse(self.target)
-        self.a_star = self.s ** (2.0 / v) if regular else None
-
-    def curve_a(self, b):
-        """a-coordinate of the level curve at height b (arrays welcome)."""
-        rest = self.target - self.poly(b)
-        if np.isscalar(rest) or rest.shape == ():
-            rest = max(float(rest), 0.0)
-            return rest ** (2.0 / self.v)
-        return np.where(rest > 0.0, np.maximum(rest, 0.0) ** (2.0 / self.v), 0.0)
-
-    def value(self, a, b):
-        out = self.poly(b)
-        if self.regular:
-            out = out + a ** (self.v / 2.0)
-        return out
-
-
-def _bisect_curves(c1, c2, lo, hi):
-    f = lambda b: c1.curve_a(b) - c2.curve_a(b)
-    flo = f(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _intersections(c1, c2):
-    """Intersection points of two level curves in the closed quadrant."""
-    pts = []
-    if c1.regular and c2.regular:
-        hi = min(c1.b_star, c2.b_star)
-        if hi <= 0:
-            return pts
-        grid = np.linspace(0.0, hi, 513)
-        d = c1.curve_a(grid) - c2.curve_a(grid)
-        for t in range(len(grid) - 1):
-            if d[t] == 0.0:
-                pts.append((float(c1.curve_a(grid[t])), float(grid[t])))
-            if d[t] * d[t + 1] < 0.0:
-                b0 = _bisect_curves(c1, c2, grid[t], grid[t + 1])
-                a0 = 0.5 * (c1.curve_a(b0) + c2.curve_a(b0))
-                pts.append((float(a0), float(b0)))
-        if d[-1] == 0.0:
-            pts.append((float(c1.curve_a(hi)), float(hi)))
-    elif c1.regular != c2.regular:
-        reg, irr = (c1, c2) if c1.regular else (c2, c1)
-        b = irr.b_star
-        pts.append((float(reg.curve_a(b)), float(b)))
-    # two irregular constraints give parallel horizontal lines: no new corner
-    return pts
+    # motif index -> (target, a where the level set meets the a axis or None
+    # for an irregular motif, b where it meets the b axis); positive targets
+    levels: dict = field(default_factory=dict)
 
 
 class PlanarProgram:
@@ -126,7 +59,8 @@ class PlanarProgram:
         self.m = len(self.motifs)
 
     def t_values(self, a, b):
-        """T_k(a, b) for every motif; a and b may be arrays."""
+        """T_k(a, b) = P_{F_k*}(b) + a^(v_k/2) [F_k regular] for every motif;
+        a and b may be arrays."""
         out = []
         for poly, reg, v in zip(self.polys, self.regular, self.vs):
             val = poly(b)
@@ -139,6 +73,64 @@ class PlanarProgram:
         """s(a, b) = T(a, b) - 1, the excess vector at a point."""
         return np.maximum(self.t_values(a, b) - 1.0, 0.0)
 
+    def curve_a(self, k, target, b):
+        """a on the level curve T_k(a, b) = target at height b (arrays
+        welcome); 0 where P_{F_k*}(b) alone reaches the target."""
+        rest = target - self.polys[k](b)
+        if isinstance(rest, np.ndarray):
+            return np.where(rest > 0.0,
+                            np.maximum(rest, 0.0) ** (2.0 / self.vs[k]), 0.0)
+        return max(float(rest), 0.0) ** (2.0 / self.vs[k])
+
+    def _crossings(self, i, j, levels):
+        """Points where the level curves of motifs i and j meet."""
+        (ti, ai, bi), (tj, aj, bj) = levels[i], levels[j]
+        if ai is None and aj is None:
+            # two horizontal lines: no new corner
+            return []
+        if ai is None or aj is None:
+            k, t, b = (i, ti, bj) if aj is None else (j, tj, bi)
+            return [(self.curve_a(k, t, b), b)]
+        hi = min(bi, bj)
+        if hi <= 0:
+            return []
+
+        def da(b):
+            return self.curve_a(i, ti, b) - self.curve_a(j, tj, b)
+
+        grid = np.linspace(0.0, hi, 513)
+        d = da(grid)
+        pts = [(self.curve_a(i, ti, grid[t]), float(grid[t]))
+               for t in np.flatnonzero(d == 0.0)]
+        for t in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+            lo, up = grid[t], grid[t + 1]
+            flo = da(lo)
+            for _ in range(60):
+                mid = 0.5 * (lo + up)
+                fm = da(mid)
+                if fm == 0.0:
+                    break
+                if (flo > 0) == (fm > 0):
+                    lo, flo = mid, fm
+                else:
+                    up = mid
+            else:
+                mid = 0.5 * (lo + up)
+            a0 = 0.5 * (self.curve_a(i, ti, mid) + self.curve_a(j, tj, mid))
+            pts.append((a0, float(mid)))
+        return pts
+
+    def _active(self, levels, a, b):
+        """The constraints and axes that hold with equality at (a, b)."""
+        t = self.t_values(a, b)
+        out = [k for k, (target, _, _) in levels.items()
+               if abs(t[k] - target) <= ACTIVE_TOL * max(1.0, target)]
+        if a <= ACTIVE_TOL:
+            out.append("a=0")
+        if b <= ACTIVE_TOL:
+            out.append("b=0")
+        return out
+
     def solve(self, s, tie_tol=TIE_TOL):
         s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
         if len(s) != self.m:
@@ -147,39 +139,35 @@ class PlanarProgram:
             raise DomainError("targets must be finite")
         if any(sk < 0.0 for sk in s):
             raise DomainError("targets must be nonnegative")
-        cons = [
-            _Constraint(k, self.polys[k], self.regular[k], self.vs[k], sk)
+        levels = {
+            k: (1.0 + sk, sk ** (2.0 / self.vs[k]) if self.regular[k] else None,
+                self.polys[k].inverse(1.0 + sk))
             for k, sk in enumerate(s) if sk > 0.0
-        ]
-        if not cons:
-            sol = PlanarSolution(
-                0.0, [PlanarOptimizer(0.0, 0.0, ["a=0", "b=0"])], s, tie_tol)
-            sol.candidates = [(0.0, 0.0, 0.0)]
-            return sol
+        }
+        if not levels:
+            return PlanarSolution(
+                0.0, [PlanarOptimizer(0.0, 0.0, ["a=0", "b=0"])],
+                candidates=[(0.0, 0.0, 0.0)])
 
         raw = []
-        for c in cons:
-            raw.append((0.0, c.b_star))
-            if c.regular:
-                raw.append((c.a_star, 0.0))
-        for i in range(len(cons)):
-            for j in range(i + 1, len(cons)):
-                raw.extend(_intersections(cons[i], cons[j]))
+        for _, a_axis, b_axis in levels.values():
+            raw.append((0.0, b_axis))
+            if a_axis is not None:
+                raw.append((a_axis, 0.0))
+        for i, j in itertools.combinations(levels, 2):
+            raw.extend(self._crossings(i, j, levels))
 
-        feasible = []
-        for a, b in raw:
-            if a < 0 or b < 0:
-                continue
-            ok = all(
-                c.value(a, b) >= c.target - FEAS_TOL * max(1.0, c.target)
-                for c in cons
-            )
-            if ok:
-                feasible.append((float(a), float(b), 0.5 * a + b))
+        keys = list(levels)
+        targets = np.array([levels[k][0] for k in keys])
+        floor = targets - FEAS_TOL * np.maximum(1.0, targets)
+        t = self.t_values(*np.array(raw).T)[keys]
+        ok = np.all(t >= floor[:, None], axis=0)
+        feasible = [(a, b, 0.5 * a + b)
+                    for (a, b), good in zip(raw, ok.tolist()) if good]
         if not feasible:
             raise DomainError("no feasible corner candidate found")
 
-        feasible.sort(key=lambda t: (t[2], t[0], t[1]))
+        feasible.sort(key=lambda r: (r[2], r[0], r[1]))
         value = feasible[0][2]
 
         chosen = []
@@ -188,7 +176,8 @@ class PlanarProgram:
             gap = obj - value
             if gap <= tie_tol:
                 if all(abs(a - o.a) + abs(b - o.b) > DEDUP_TOL for o in chosen):
-                    chosen.append(PlanarOptimizer(a, b, _active(cons, a, b)))
+                    chosen.append(
+                        PlanarOptimizer(a, b, self._active(levels, a, b)))
             elif gap <= NEAR_WINDOW:
                 if all(abs(a - q[0]) + abs(b - q[1]) > DEDUP_TOL for q in near):
                     near.append((a, b, gap))
@@ -199,19 +188,7 @@ class PlanarProgram:
                 raise InternalError(
                     "optimizer (%g, %g) has fewer than two active constraints"
                     % (o.a, o.b))
-        return PlanarSolution(value, chosen, s, tie_tol, near, feasible)
-
-
-def _active(cons, a, b):
-    out = []
-    for c in cons:
-        if abs(c.value(a, b) - c.target) <= ACTIVE_TOL * max(1.0, c.target):
-            out.append(c.index)
-    if a <= ACTIVE_TOL:
-        out.append("a=0")
-    if b <= ACTIVE_TOL:
-        out.append("b=0")
-    return out
+        return PlanarSolution(value, chosen, near, feasible, levels)
 
 
 def phi_solve(motifs, s, tie_tol=TIE_TOL):
@@ -226,30 +203,29 @@ def phi_region_emit(motifs, s, na=101, nb=101):
     curves maps motif index -> list of (a, b) points along T_k = 1 + s_k.
     """
     prog = PlanarProgram(motifs)
-    s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
     sol = prog.solve(s)
-    cons = [
-        _Constraint(k, prog.polys[k], prog.regular[k], prog.vs[k], sk)
-        for k, sk in enumerate(s) if sk > 0.0
-    ]
-    spread = [c.a_star for c in cons if c.a_star is not None]
-    spread += [2.0 * o.a for o in sol.optimizers]
-    a_max = 1.25 * max(spread + [1.0])
-    b_max = 1.25 * max([c.b_star for c in cons]
+    levels = sol.levels
+    a_max = 1.25 * max([a for _, a, _ in levels.values() if a is not None]
+                       + [2.0 * o.a for o in sol.optimizers] + [1.0])
+    b_max = 1.25 * max([b for _, _, b in levels.values()]
                        + [2.0 * o.b for o in sol.optimizers] + [1.0])
-    rows = []
-    for a in np.linspace(0.0, a_max, na):
-        for b in np.linspace(0.0, b_max, nb):
-            ok = all(c.value(a, b) >= c.target for c in cons)
-            rows.append((float(a), float(b), bool(ok), 0.5 * a + b))
+    aa, bb = np.meshgrid(np.linspace(0.0, a_max, na),
+                         np.linspace(0.0, b_max, nb), indexing="ij")
+    t = prog.t_values(aa, bb)
+    ok = np.ones(aa.shape, dtype=bool)
+    for k, (target, _, _) in levels.items():
+        ok &= t[k] >= target
+    rows = list(zip(aa.ravel().tolist(), bb.ravel().tolist(),
+                    ok.ravel().tolist(), (0.5 * aa + bb).ravel().tolist()))
     curves = {}
-    for c in cons:
-        pts = []
-        if c.regular:
-            for b in np.linspace(0.0, c.b_star, 201):
-                pts.append((float(c.curve_a(b)), float(b)))
+    for k, (target, a_axis, b_axis) in levels.items():
+        if a_axis is None:
+            curves[k] = [(a, b_axis)
+                         for a in np.linspace(0.0, a_max, 201).tolist()]
         else:
-            for a in np.linspace(0.0, a_max, 201):
-                pts.append((float(a), float(c.b_star)))
-        curves[c.index] = pts
+            # one scalar curve_a per point: numpy's array power can differ
+            # from the C library's pow in the last bit, and these points are
+            # written to files whose digests are pinned
+            curves[k] = [(prog.curve_a(k, target, b), b)
+                         for b in np.linspace(0.0, b_axis, 201).tolist()]
     return rows, curves

@@ -526,6 +526,8 @@ def run_experiment(config):
         raise DomainError("sweeps must be positive")
     if chains < 1 or burnin < 0 or thin < 1:
         raise DomainError("bad chain controls")
+    if not (0.0 <= xi < 0.5 and 0.0 <= delta_hub <= 1.0):
+        raise DomainError("xi must lie in [0, 1/2) and delta_hub in [0, 1]")
     need = _sample_bytes(n)
     if need > SAMPLE_MEMORY:
         raise CapabilityError(

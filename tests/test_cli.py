@@ -310,6 +310,24 @@ def test_hom_density_binary_and_json_tables(capsys, tmp_path):
     assert json.loads(out)["value"] == from_bin
 
 
+def test_non_finite_weights_are_a_domain_error(capsys, tmp_path):
+    table = er_table(6, 0.5, np.random.default_rng(1)).to_json_dict()
+    good = tmp_path / "g.json"
+    good.write_text(json.dumps(table))
+    table["triangle"][3] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(table))
+    for argv in (["--table", str(bad)],
+                 ["--table", str(good), "--scale", "nan"],
+                 ["--table", str(good), "--scale", "inf"]):
+        code, out, err = run_cli(capsys, ["hom-density", "--motif", "C3"]
+                                 + argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:domain:") and err.count("\n") == 1, err
+        assert "finite" in err
+
+
 def test_psi_output(capsys, tmp_path):
     ham = triangle_file(tmp_path)
     code, out, err = run_cli(capsys, ["psi", "--hamiltonian", ham])
@@ -409,6 +427,62 @@ def test_phi_np_and_nmf_commands(capsys, tmp_path):
     phi_doc = json.loads(out)
     assert phi_doc["value"] <= phi_doc["witness_value"] + 1e-9
     assert phi_doc["residuals"] <= 1e-6
+
+
+def motif_file(tmp_path, name, vertices, edges):
+    path = tmp_path / ("%s-%d.json" % (name, vertices))
+    path.write_text(json.dumps({"name": name, "vertices": vertices,
+                                "edges": edges}))
+    return str(path)
+
+
+PHI_NP = ["phi-np", "--n", "16", "--p", "0.2", "--s", "1.0", "--motifs"]
+
+
+def test_phi_np_accepts_a_motif_file(capsys, tmp_path):
+    # a path on three vertices is the 2-star, so both give one value
+    path = motif_file(tmp_path, "P3", 3, [[0, 1], [1, 2]])
+    code, out, err = run_cli(capsys, PHI_NP + [path])
+    assert code == 0, err
+    code, star, err = run_cli(capsys, PHI_NP + ["K12"])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(
+        json.loads(star)["value"], rel=1e-12)
+
+
+def test_phi_np_file_motif_named_like_a_builtin(capsys, tmp_path):
+    # a 2-star read from a file called "C3" is solved as the 2-star, not as
+    # the triangle its name spells
+    code, named_c3, err = run_cli(capsys, PHI_NP + [
+        motif_file(tmp_path, "C3", 3, [[0, 1], [1, 2]])])
+    assert code == 0, err
+    code, star, err = run_cli(capsys, PHI_NP + ["K12"])
+    assert code == 0
+    code, triangle, err = run_cli(capsys, PHI_NP + ["C3"])
+    assert code == 0
+    value = json.loads(named_c3)["value"]
+    assert value == pytest.approx(json.loads(star)["value"], rel=1e-12)
+    assert value != pytest.approx(json.loads(triangle)["value"], rel=1e-3)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta", "inf"],
+     "finite"),
+    (["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta", "1.0",
+      "--shift", "nan"], "finite"),
+    (["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta-grid", "0:nan:1"],
+     "finite"),
+    (["sample", "--n", "12", "--p", "0.3", "--sweeps", "1", "--detect",
+      "--xi", "nan"], "xi must lie in [0, 1/2)"),
+    (["sample", "--n", "12", "--p", "0.3", "--sweeps", "1", "--detect",
+      "--delta-hub", "1.5"], "delta_hub in [0, 1]"),
+], ids=["beta", "shift", "beta-grid", "xi", "delta-hub"])
+def test_out_of_range_model_input_is_a_domain_error(capsys, argv, reason):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:") and err.count("\n") == 1, err
+    assert reason in err
 
 
 def test_planar_phi_region_emission(capsys, tmp_path):

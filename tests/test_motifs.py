@@ -22,7 +22,6 @@ from cliquehub.motifs import (
     rate,
     resolve_motif,
     star_motif,
-    t_planar,
     validate_family,
 )
 
@@ -112,17 +111,6 @@ def test_indep_poly_inverse_round_trip():
             assert abs(p.inverse(p(float(b))) - b) < 1e-9 * (1.0 + b)
     with pytest.raises(DomainError):
         indep_poly(motif_from_name("C3")).inverse(0.5)
-
-
-def test_t_planar_values():
-    # single edge: both endpoints have max degree
-    assert t_planar(motif_from_name("K11"), 2.0, 3.0) == pytest.approx(9.0)
-    # 2-star is irregular, only the hub part contributes
-    assert t_planar(motif_from_name("K12"), 5.0, 3.0) == pytest.approx(4.0)
-    assert t_planar(motif_from_name("C3"), 4.0, 2.0) == pytest.approx(
-        1.0 + 6.0 + 8.0)
-    assert t_planar(motif_from_name("C4"), 9.0, 1.0) == pytest.approx(
-        1.0 + 4.0 + 2.0 + 81.0)
 
 
 def test_weight_table_validation():

@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquehub.errors import DomainError
-from cliquehub.motifs import motif_from_name, t_planar
-from cliquehub.planar import PlanarProgram, phi_region_emit, phi_solve
+from cliquehub.planar import FEAS_TOL, PlanarProgram, phi_region_emit, phi_solve
 
 FIGURE_FAMILY = ("K12", "C3", "C4")
 
@@ -13,6 +14,17 @@ FIGURE_FAMILY = ("K12", "C3", "C4")
 def phi_c3_closed(s):
     # single triangle target: cheaper of the hub line and the clique curve
     return min(s / 3.0, 0.5 * s ** (2.0 / 3.0))
+
+
+def test_t_values():
+    # single edge: both endpoints have max degree
+    assert PlanarProgram(["K11"]).t_values(2.0, 3.0)[0] == pytest.approx(9.0)
+    # 2-star is irregular, only the hub part contributes
+    assert PlanarProgram(["K12"]).t_values(5.0, 3.0)[0] == pytest.approx(4.0)
+    assert PlanarProgram(["C3"]).t_values(4.0, 2.0)[0] == pytest.approx(
+        1.0 + 6.0 + 8.0)
+    assert PlanarProgram(["C4"]).t_values(9.0, 1.0)[0] == pytest.approx(
+        1.0 + 4.0 + 2.0 + 81.0)
 
 
 def test_single_triangle_closed_form():
@@ -108,9 +120,9 @@ def test_optimizers_have_two_active_constraints():
         for opt in sol.optimizers:
             assert len(opt.active) >= 2, (s, opt)
             # feasibility of every reported optimizer
-            for k, m in enumerate(FIGURE_FAMILY):
-                t = t_planar(motif_from_name(m), opt.a, opt.b)
-                assert t >= 1.0 + s[k] - 1e-6 * (1.0 + s[k])
+            t = prog.t_values(opt.a, opt.b)
+            for k in range(len(FIGURE_FAMILY)):
+                assert t[k] >= 1.0 + s[k] - 1e-6 * (1.0 + s[k])
 
 
 def test_phi_monotone_and_scaling():
@@ -146,3 +158,43 @@ def test_region_emit_structure():
     assert set(curves) == {0, 1, 2}
     for idx, pts in curves.items():
         assert len(pts) == 201
+
+
+# sha256 of the solutions below at the commit that introduced the pin.  A
+# change meant to alter any bit of them updates this value and says why.
+PLANAR_PIN = "a2cc241249f8e5cc03735ccfee6d08df89e15ed3f956868f93eb2b7d1ffbcb8f"
+
+
+def test_planar_solutions_match_the_pin():
+    rng = np.random.default_rng(2017)
+    digest = hashlib.sha256()
+    for family in (FIGURE_FAMILY, ("C3", "C4", "C5")):
+        prog = PlanarProgram(family)
+        for i in range(100):
+            s = rng.uniform(0.0, (1.0, 10.0, 100.0, 1000.0)[i % 4], size=3)
+            if i % 5 == 0:
+                s[i % 3] = 0.0
+            sol = prog.solve(s)
+            digest.update(repr((sol.value, sol.optimizers, sol.near_ties,
+                                sol.candidates)).encode())
+    assert digest.hexdigest() == PLANAR_PIN
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(["K12", "C3", "C4", "C5", "C6"]),
+                min_size=1, max_size=3, unique=True).flatmap(
+    lambda family: st.tuples(
+        st.just(family),
+        st.lists(st.floats(0.0, 80.0), min_size=len(family),
+                 max_size=len(family)))))
+def test_optimum_is_feasible_and_below_the_region_grid(case):
+    family, s = case
+    prog = PlanarProgram(family)
+    sol = prog.solve(s)
+    for opt in sol.optimizers:
+        t = prog.t_values(opt.a, opt.b)
+        for k, sk in enumerate(s):
+            assert t[k] >= 1.0 + sk - FEAS_TOL * (1.0 + sk), (opt, k)
+    rows, _ = phi_region_emit(family, s)
+    best = min(obj for a, b, ok, obj in rows if ok)
+    assert best >= sol.value - 1e-9
