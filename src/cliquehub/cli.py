@@ -40,6 +40,8 @@ FIGURE_SCENARIOS = {
     "fig3": (12.0, 88.0, 1000.0),
 }
 FIGURE_FAMILY = ("K12", "C3", "C4")
+# one edge-f solve takes a few milliseconds, so this is about a minute
+BETA_GRID_MAX_POINTS = 10000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,6 +253,9 @@ def cmd_edge_f(args, manifest):
         if (not all(math.isfinite(v) for v in (lo, hi, step))
                 or step <= 0 or hi < lo):
             raise DomainError("--beta-grid wants finite lo <= hi and step > 0")
+        if (hi - lo) / step + 1.0 > BETA_GRID_MAX_POINTS:
+            raise CapabilityError("--beta-grid limited to %d points"
+                                  % BETA_GRID_MAX_POINTS)
         betas = []
         k = 0
         while lo + k * step <= hi + 1e-12:

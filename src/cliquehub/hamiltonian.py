@@ -41,7 +41,6 @@ class HamiltonianSpec:
     family: tuple
     terms: tuple
     allow_degenerate: bool = False
-    callback: object = None   # optional monotone callable on density vectors
 
     def __post_init__(self):
         self.family = tuple(resolve_motif(m) for m in self.family)
@@ -92,32 +91,7 @@ def validate_hamiltonian(spec):
                 warnings.append(msg + " (allow_degenerate set)")
             else:
                 errors.append((idx, msg))
-    if spec.callback is not None and not errors:
-        msg = _ray_scan(spec)
-        if msg:
-            if spec.allow_degenerate:
-                warnings.append(msg + " (allow_degenerate set)")
-            else:
-                errors.append((None, msg))
     return ValidationReport(not errors, delta, errors, warnings)
-
-
-def _ray_scan(spec):
-    """Empirical growth check used when a callback term is present.
-
-    Walks three rays in the (a, b) plane and requires the objective to be
-    decreasing at large amplitudes; analytic growth bounds are unavailable
-    for callbacks.
-    """
-    prog = PlanarProgram(spec.family, allow_mixed_max_degree=True)
-    g = _direct_objective(spec, prog)
-    for da, db in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        t = np.geomspace(64.0, 2.0 ** 30, 25)
-        vals = np.array([g(np.float64(da * x), np.float64(db * x)) for x in t])
-        if not np.all(np.diff(vals) < 0.0):
-            return ("callback term fails the empirical growth check on ray "
-                    "(%g, %g)" % (da, db))
-    return None
 
 
 def h_value(spec, x):
@@ -126,8 +100,6 @@ def h_value(spec, x):
     out = 0.0
     for t in spec.terms:
         out = out + t.beta * np.maximum(x[t.k] - t.shift, 0.0) ** t.gamma
-    if spec.callback is not None:
-        out = out + spec.callback(x)
     return out
 
 

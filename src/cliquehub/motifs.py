@@ -8,8 +8,9 @@ The homomorphism density of a motif F in a weighted graph X at scale s is
 Maps are not required to be injective; the zero diagonal of X kills any map
 that collapses an edge.  Three engines compute the underlying weighted
 homomorphism sum: closed-form fast paths (cycles via traces, stars via row
-sums, cliques via bitset backtracking on binary graphs), generic recursive
-backtracking, and exhaustive tensor contraction kept as a reference oracle.
+sums, cliques via bitset backtracking on binary graphs), a generic einsum
+contraction over the motif's edge list, and the same contraction read
+straight off the motif, kept as a plan-free reference oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 
-GENERIC_MAX_VERTICES = 8
+LETTERS = "abcdefgh"
 GENERIC_MAX_MAPS = 1e10
 EXHAUSTIVE_MAX_MAPS = 1e8
 
@@ -349,10 +350,8 @@ class MotifPlan:
     kind is "empty" (no edges), "cycle", "star", "clique" or "generic", and
     size is the cycle length, the number of star leaves or the clique size.
     The classification is of the core, the motif without its iso isolated
-    vertices; components are the connected components of the core.  back
-    drives the generic engine, which places the core's vertices in an order
-    where each new one touches as many placed ones as possible: back[i]
-    lists the positions of the already placed neighbors of position i.
+    vertices; components are the connected components of the core.  The
+    generic engine and the gradients contract the core's edge list.
     """
 
     kind: str
@@ -360,7 +359,6 @@ class MotifPlan:
     iso: int
     core: Motif = None
     components: tuple = ()
-    back: tuple = ()
 
 
 def _compile(motif):
@@ -385,24 +383,7 @@ def _compile(motif):
         kind, size = "clique", v
     else:
         kind, size = "generic", 0
-
-    adj = [set() for _ in range(v)]
-    for a, b in core.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    order = []
-    placed = set()
-    while len(order) < v:
-        best = max(
-            (u for u in range(v) if u not in placed),
-            key=lambda u: (len(adj[u] & placed), deg[u]),
-        )
-        order.append(best)
-        placed.add(best)
-    pos = {u: i for i, u in enumerate(order)}
-    back = tuple(tuple(pos[w] for w in adj[u] if pos[w] < i)
-                 for i, u in enumerate(order))
-    return MotifPlan(kind, size, iso, core, components, back)
+    return MotifPlan(kind, size, iso, core, components)
 
 
 def _components(core):
@@ -513,49 +494,42 @@ def _count_cliques(masks, n, r):
     return count
 
 
+def _contract(edges, x, out=(), max_maps=math.inf):
+    """Sum over maps of the edge list's vertices into [n] of the product of
+    x[image of u, image of w] over its edges (u, w), keeping the vertices
+    listed in out as free indices, in that order.
+
+    Vertex i is LETTERS[i].  np.einsum contracts along a greedy pairwise
+    path whose intermediates are no bigger than x; max_maps bounds the
+    index tuples that the path's steps run over.
+    """
+    if max(max(e) for e in edges) >= len(LETTERS):
+        raise CapabilityError("contractions support motifs up to %d vertices"
+                              % len(LETTERS))
+    terms = [LETTERS[u] + LETTERS[w] for u, w in edges]
+    free = "".join(LETTERS[v] for v in out)
+    subs = ",".join(terms) + "->" + free
+    ops = [x] * len(terms)
+    path = np.einsum_path(subs, *ops, optimize=True)[0]
+    live = [set(t) for t in terms]
+    maps = 0.0
+    for step in path[1:]:
+        joined = set().union(*(live[i] for i in step))
+        maps += float(x.shape[0]) ** len(joined)
+        live = [t for i, t in enumerate(live) if i not in step]
+        live.append(joined & set(free).union(*live))
+    if maps > max_maps:
+        raise CapabilityError("contraction limited to %g maps" % max_maps)
+    return np.einsum(subs, *ops, optimize=path)
+
+
 def hom_sum_generic(motif, x):
-    """Recursive backtracking over vertex maps with zero-product pruning."""
+    """Contraction of the core's edge list, times n per isolated vertex."""
     plan = motif.plan
     n = x.shape[0]
     if plan.kind == "empty":
         return float(n) ** motif.vertices
-    v = plan.core.vertices
-    if v > GENERIC_MAX_VERTICES:
-        raise CapabilityError("generic engine limited to %d motif vertices"
-                              % GENERIC_MAX_VERTICES)
-    if float(n) ** v > GENERIC_MAX_MAPS:
-        raise CapabilityError("generic engine limited to %g maps" % GENERIC_MAX_MAPS)
-    back = plan.back
-
-    total = 0.0
-    images = [0] * v
-
-    def rec(i, weight):
-        nonlocal total
-        if i == v:
-            total += weight
-            return
-        prev = back[i]
-        if not prev:
-            # no placed neighbors: every target contributes weight once;
-            # recurse per target only if later vertices depend on this one
-            for t in range(n):
-                images[i] = t
-                rec(i + 1, weight)
-            return
-        col = x[images[prev[0]]]
-        if len(prev) == 1:
-            w_t = col
-        else:
-            w_t = col.copy()
-            for q in prev[1:]:
-                w_t = w_t * x[images[q]]
-        nz = np.nonzero(w_t)[0]
-        for t in nz:
-            images[i] = int(t)
-            rec(i + 1, weight * float(w_t[t]))
-
-    rec(0, 1.0)
+    total = float(_contract(plan.core.edges, x, max_maps=GENERIC_MAX_MAPS))
     return total * float(n) ** plan.iso
 
 
@@ -572,7 +546,10 @@ def hom_sum_exhaustive(motif, x):
     if float(n) ** len(live) > EXHAUSTIVE_MAX_MAPS:
         raise CapabilityError("exhaustive engine limited to %g maps"
                               % EXHAUSTIVE_MAX_MAPS)
-    letter = dict(zip(live, "abcdefgh"))
+    if len(live) > len(LETTERS):
+        raise CapabilityError("exhaustive engine limited to %d motif vertices"
+                              % len(LETTERS))
+    letter = dict(zip(live, LETTERS))
     subs = ",".join(letter[u] + letter[w] for u, w in motif.edges)
     ops = [x] * motif.edge_count
     total = float(np.einsum(subs + "->", *ops, optimize=True))
@@ -598,6 +575,12 @@ def hom_sum(motif, table, engine="auto"):
     raise DomainError("unknown engine %r" % engine)
 
 
+def _density_core(motif):
+    # isolated vertices multiply a hom sum and its n^v normalizer alike, so
+    # every density is the core's; dropping them keeps n^iso from overflowing
+    return motif.plan.core or Motif(motif.name, 1, ())
+
+
 def hom_density(motif, table, scale=1.0, engine="auto"):
     """t(F, X/scale) for a WeightTable or plain symmetric matrix."""
     x = _as_matrix(table)
@@ -606,8 +589,9 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
         raise DomainError("empty graph")
     if not 0.0 < scale < math.inf:
         raise DomainError("scale must be positive and finite")
-    s = hom_sum(motif, x, engine=engine)
-    return s / (scale ** motif.edge_count * float(n) ** motif.vertices)
+    core = _density_core(motif)
+    s = hom_sum(core, x, engine=engine)
+    return s / (scale ** core.edge_count * float(n) ** core.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +651,9 @@ def hom_sum_delta(motif, table, i, j):
     The current value of the edge in `table` does not matter; the base graph
     B is the table with that edge cleared.  Stars, triangles and cliques
     cost O(n) (cliques plus a count inside the common neighborhood of i and
-    j); C_l for l >= 4 costs O(l n^2) and generic motifs a recount, each on
-    a copy of the table.
+    j); C_l for l >= 4 costs O(l n^2), and every other motif two recounts
+    (for generic motifs, two edge-list contractions), each on a copy of
+    the table.
     """
     x = _as_matrix(table)
     n = x.shape[0]
@@ -707,8 +692,9 @@ def hom_sum_delta(motif, table, i, j):
 def hom_density_delta(motif, table, i, j, scale=1.0):
     x = _as_matrix(table)
     n = x.shape[0]
-    return hom_sum_delta(motif, x, i, j) / (
-        scale ** motif.edge_count * float(n) ** motif.vertices)
+    core = _density_core(motif)
+    return hom_sum_delta(core, x, i, j) / (
+        scale ** core.edge_count * float(n) ** core.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -718,57 +704,30 @@ GRAD_MAX_OPS = 2.0e8
 
 
 def _pinned_clique_grad(x, r):
-    # contraction over the r-2 free vertices of a clique with one edge pinned
-    n = x.shape[0]
-    letters = "abcdefgh"
-    if r > len(letters):
-        raise CapabilityError("gradient supports cliques up to 8 vertices")
-    if float(n) ** r > GRAD_MAX_OPS:
-        raise CapabilityError("gradient contraction exceeds the operation cap")
-    free = letters[2:r]
-    subs = []
-    for u in free:
-        subs.append("a" + u)
-        subs.append("b" + u)
-    for i in range(len(free)):
-        for j in range(i + 1, len(free)):
-            subs.append(free[i] + free[j])
-    return np.einsum(",".join(subs) + "->ab", *([x] * len(subs)), optimize=True)
+    # contraction over the r-2 free vertices of a clique with edge (0, 1) pinned
+    edges = [(p, c) for c in range(2, r) for p in (0, 1)]
+    edges += itertools.combinations(range(2, r), 2)
+    return _contract(edges, x, (0, 1), max_maps=GRAD_MAX_OPS)
 
 
 def _pinned_edge_grad(core, x):
-    # sum of pinned-edge contractions over the motif's edges, both orientations
+    # sum of pinned-edge contractions over the motif's edges, both orientations;
+    # a generic component has three or more edges, so at least one endpoint
+    # of the pinned edge stays in the rest
     n = x.shape[0]
-    v = core.vertices
-    letters = "abcdefgh"
-    if v > len(letters):
-        raise CapabilityError("gradient supports motifs up to 8 vertices")
-    if core.edge_count * float(n) ** v > GRAD_MAX_OPS:
-        raise CapabilityError("gradient contraction exceeds the operation cap")
     total = np.zeros((n, n))
     ones = np.ones(n)
     for u, w in core.edges:
-        subs = [letters[a] + letters[b] for a, b in core.edges if (a, b) != (u, w)]
-        lu, lw = letters[u], letters[w]
-        present = set("".join(subs))
-        out = "".join(c for c in (lu, lw) if c in present)
-        # endpoints of degree one drop out of the remaining edges; broadcast them
-        missing = [c for c in letters[:v] if c not in present and c not in (lu, lw)]
-        factor = float(n) ** len(missing)
-        if subs:
-            d = np.einsum(",".join(subs) + "->" + out,
-                          *([x] * len(subs)), optimize=True)
-        else:
-            d = np.float64(1.0)
-        if out == lu + lw:
-            block = np.asarray(d)
-        elif out == lu:
-            block = np.outer(d, ones)
-        elif out == lw:
-            block = np.outer(ones, d)
-        else:
-            block = np.full((n, n), float(d))
-        total += factor * (block + block.T)
+        rest = [e for e in core.edges if e != (u, w)]
+        present = {c for e in rest for c in e}
+        out = tuple(c for c in (u, w) if c in present)
+        d = _contract(rest, x, out, max_maps=GRAD_MAX_OPS)
+        # an endpoint of degree one drops out of the other edges; broadcast it
+        if w not in present:
+            d = np.outer(d, ones)
+        elif u not in present:
+            d = np.outer(ones, d)
+        total += d + d.T
     return total
 
 
@@ -817,8 +776,9 @@ def hom_density_grad(motif, table, scale=1.0):
     """Gradient of hom_density under the same pair-weight convention."""
     x = _as_matrix(table)
     n = x.shape[0]
-    return hom_sum_grad(motif, x) / (
-        scale ** motif.edge_count * float(n) ** motif.vertices)
+    core = _density_core(motif)
+    return hom_sum_grad(core, x) / (
+        scale ** core.edge_count * float(n) ** core.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -183,12 +183,6 @@ def _h_partials(spec, t):
         excess = t[term.k] - term.shift
         if excess > 0.0:
             g[term.k] += term.beta * term.gamma * excess ** (term.gamma - 1.0)
-    if spec.callback is not None:
-        h = 1e-6
-        for k in range(len(spec.family)):
-            e = np.zeros(len(spec.family))
-            e[k] = h
-            g[k] += (spec.callback(t + e) - spec.callback(t - e)) / (2.0 * h)
     return g
 
 

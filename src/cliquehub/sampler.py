@@ -47,18 +47,17 @@ def _sigmoid(z):
 def _live_spec(spec):
     """Drop zero-beta terms; return (effective spec or None, family, delta).
 
-    A spec whose surviving term list is empty and has no callback represents
-    H identically zero and is returned as None.
+    A spec whose surviving term list is empty represents H identically zero
+    and is returned as None.
     """
     if spec is None:
         return None, (), None
     terms = tuple(t for t in spec.terms if t.beta != 0.0)
-    if not terms and spec.callback is None:
+    if not terms:
         return None, tuple(spec.family), validate_family(
             spec.family, allow_mixed_max_degree=True).delta
     live = HamiltonianSpec(tuple(spec.family), terms,
-                           allow_degenerate=spec.allow_degenerate,
-                           callback=spec.callback)
+                           allow_degenerate=spec.allow_degenerate)
     report = validate_hamiltonian(live)
     if not report.ok:
         raise DomainError("; ".join(m for _, m in report.errors))

@@ -465,6 +465,61 @@ def test_phi_np_file_motif_named_like_a_builtin(capsys, tmp_path):
     assert value != pytest.approx(json.loads(triangle)["value"], rel=1e-3)
 
 
+def table_file(tmp_path, n):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        er_table(n, 0.5, np.random.default_rng(2)).to_json_dict()))
+    return str(path)
+
+
+def test_exhaustive_engine_refuses_a_ninth_vertex(capsys, tmp_path):
+    # the oracle names vertices by eight letters; a ninth must not fall off
+    code, out, err = run_cli(capsys, [
+        "hom-density", "--motif", "K9", "--table", table_file(tmp_path, 5),
+        "--engine", "exhaustive"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:capability:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("engine", ["auto", "generic", "exhaustive"])
+def test_isolated_vertices_leave_the_density_unchanged(capsys, tmp_path,
+                                                       engine):
+    # n^498 is past the float range, yet the density is the edge's
+    table = table_file(tmp_path, 5)
+    hom = ["hom-density", "--table", table, "--engine", engine, "--motif"]
+    code, edge, err = run_cli(capsys, hom + ["K11"])
+    assert code == 0, err
+    code, out, err = run_cli(capsys, hom + [
+        motif_file(tmp_path, "edge", 500, [[0, 1]])])
+    assert code == 0, err
+    assert json.loads(out)["value"] == json.loads(edge)["value"]
+    code, out, err = run_cli(capsys, hom + [
+        motif_file(tmp_path, "empty", 500, [])])
+    assert code == 0, err
+    assert json.loads(out)["value"] == 1.0
+
+
+def test_isolated_vertices_leave_phi_np_unchanged(capsys, tmp_path):
+    # phi-np also reads the density gradient, which overflowed the same way
+    code, lonely, err = run_cli(capsys, PHI_NP + [
+        motif_file(tmp_path, "edge", 500, [[0, 1]])])
+    assert code == 0, err
+    code, edge, err = run_cli(capsys, PHI_NP + ["K11"])
+    assert code == 0, err
+    assert json.loads(lonely)["value"] == pytest.approx(
+        json.loads(edge)["value"], rel=1e-12)
+
+
+def test_beta_grid_point_count_is_bounded(capsys):
+    code, out, err = run_cli(capsys, ["edge-f", "--motif", "C3", "--gamma",
+                                      "1.0", "--beta-grid", "0:1e9:1e-3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:capability:") and err.count("\n") == 1, err
+    assert str(cli.BETA_GRID_MAX_POINTS) in err
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta", "inf"],
      "finite"),

@@ -136,18 +136,6 @@ def test_psi_optimizers_nonempty_when_dual_overshoots():
         assert planar.value == pytest.approx(0.5 * a + b, abs=1e-6)
 
 
-def test_psi_callback_terms():
-    good = lambda x: 0.1 * np.maximum(x[0] - 1.0, 0.0) ** 0.25
-    spec = HamiltonianSpec(("C3",), (HamiltonianTerm(0, 0.5, 1.0, 0.3),),
-                           callback=good)
-    assert validate_hamiltonian(spec).ok
-    sol = psi_solve(spec)
-    assert sol.duality_gap <= 1e-6 * (1 + abs(sol.psi))
-    bad = lambda x: np.maximum(x[0] - 1.0, 0.0) ** 1.5
-    spec_bad = HamiltonianSpec(("C3",), (), callback=bad)
-    assert not validate_hamiltonian(spec_bad).ok
-
-
 def test_s_c_triangle():
     assert solve_s_c(motif_from_name("C3")) == pytest.approx(27 / 8, abs=1e-9)
     with pytest.raises(DomainError):

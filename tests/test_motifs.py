@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquehub.errors import CapabilityError, DomainError
 from cliquehub.motifs import (
@@ -17,6 +19,7 @@ from cliquehub.motifs import (
     hom_sum_exhaustive,
     hom_sum_fast,
     hom_sum_generic,
+    hom_sum_grad,
     indep_poly,
     motif_from_name,
     rate,
@@ -202,6 +205,64 @@ def test_hom_disconnected_and_isolated():
         6.0 * hom_sum(edge, table), rel=1e-10)
 
 
+@st.composite
+def motif_and_table(draw):
+    # up to 6 vertices, so isolated vertices and disconnected motifs occur
+    v = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(v), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    motif = Motif("F", v, tuple(e for e, k in zip(pairs, keep) if k))
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) \
+        else st.floats(0.0, 1.0)
+    upper = draw(st.lists(entry, min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    x = np.zeros((n, n))
+    x[np.triu_indices(n, 1)] = upper
+    return motif, x + x.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(motif_and_table())
+def test_engines_match_the_exhaustive_oracle(case):
+    motif, x = case
+    exact = hom_sum_exhaustive(motif, x)
+    binary = bool(np.all((x == 0.0) | (x == 1.0)))
+    for engine in ("auto", "generic"):
+        got = hom_sum(motif, x, engine=engine)
+        if binary:
+            assert got == exact, engine
+        else:
+            assert got == pytest.approx(exact, rel=1e-9, abs=1e-9), engine
+    grad = hom_sum_grad(motif, x)
+    h = 1e-5
+    for i, j in itertools.combinations(range(x.shape[0]), 2):
+        hi = x.copy()
+        hi[i, j] = hi[j, i] = x[i, j] + h
+        lo = x.copy()
+        lo[i, j] = lo[j, i] = x[i, j] - h
+        fd = (hom_sum(motif, hi) - hom_sum(motif, lo)) / (2.0 * h)
+        assert abs(grad[i, j] - fd) <= 1e-6 * max(1.0, abs(fd)), (i, j)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_paths_count_walks(binary):
+    # a path on e + 1 vertices has homomorphism sum 1^T X^e 1
+    x = random_table(200, 0.1 if binary else 0.0, seed=8, binary=binary).matrix
+    ones = np.ones(200)
+    for e in (2, 3, 4):
+        path = Motif("P%d" % (e + 1), e + 1, tuple((k, k + 1) for k in range(e)))
+        walks = ones @ np.linalg.matrix_power(x, e) @ ones
+        for engine in ("auto", "generic"):
+            got = hom_sum(path, x, engine=engine)
+            if binary:
+                assert got == walks, (path.name, engine)
+            else:
+                assert got == pytest.approx(walks, rel=1e-12), (path.name,
+                                                                engine)
+
+
 def test_hom_density_scale():
     table = random_table(10, 0.5, seed=21)
     m = motif_from_name("C3")
@@ -215,6 +276,11 @@ def test_hom_generic_caps():
     table = random_table(12, 0.9, seed=2)
     with pytest.raises(CapabilityError):
         hom_sum(big, table, engine="generic")
+    # a weighted K5 is one contraction step over all five vertices, so it
+    # runs over 101^5 > GENERIC_MAX_MAPS index tuples
+    with pytest.raises(CapabilityError):
+        hom_sum(clique_motif(5), random_table(101, 0.0, seed=4, binary=False),
+                engine="generic")
     with pytest.raises(CapabilityError):
         hom_sum(cycle_motif(8), random_table(14, 0.5, seed=3),
                 engine="exhaustive")
