@@ -3,8 +3,9 @@
 A Hamiltonian is h(x) = sum_k beta_k * (x_k - c_k)_+^(gamma_k) over the
 densities of a motif family.  The growth condition gamma_k < Delta / e(F_k)
 (strict) keeps the planar objective h(T(a, b)) - a/2 - b bounded above; the
-value psi is its supremum, computed both directly in the (a, b) plane and
-through the dual sup_s { h(1 + s) - phi(s) }.
+value psi is its supremum, computed directly in the (a, b) plane, which also
+gives the optimizers, and certified through the dual
+sup_s { h(1 + s) - phi(s) }.
 
 The single-motif model with f(x) = (x - shift)_+^(gamma / e(F)) gets a
 dedicated solver that locates the hub/clique branch maximizers, the branch
@@ -202,6 +203,11 @@ def psi_solve(spec, seed=0):
     vals = g(aa, bb)
     flat = np.argsort(vals.ravel())[::-1][:10]
     starts = [(aa.ravel()[i], bb.ravel()[i]) for i in flat]
+    # the maxima on the two axes give each phase of a tie its own start;
+    # zeros_like keeps t_values rectangular when a motif is irregular
+    b_hub = _max_1d(lambda t: g(np.zeros_like(t), t), 0.0, size)[0]
+    a_clique = _max_1d(lambda t: g(t, np.zeros_like(t)), 0.0, size)[0]
+    starts += [(0.0, b_hub), (a_clique, 0.0)]
 
     def neg(u):
         return -g(u[0] * u[0], u[1] * u[1])
@@ -219,7 +225,8 @@ def psi_solve(spec, seed=0):
         best = max(best, val)
     psi_direct = best
 
-    # dual route: maximize h(1 + s) - phi(s) over the nonnegative orthant
+    # dual route: sup of h(1 + s) - phi(s) over the nonnegative orthant; it
+    # certifies psi through the gap and contributes no optimizer
     m = prog.m
 
     def dual_val(s):
@@ -246,39 +253,29 @@ def psi_solve(spec, seed=0):
         explored.append((res.fun, res.x))
     explored.sort(key=lambda t: t[0])
     psi_dual = -np.inf
-    dual_args = []
     for fun0, x0 in explored[:2]:
         res = minimize(neg_dual, x0, method="Nelder-Mead",
                        options=dict(xatol=1e-10, fatol=1e-14,
                                     maxiter=1500, maxfev=1500))
-        val = -res.fun
-        if val > psi_dual:
-            psi_dual = val
-        dual_args.append(res.x ** 2)
+        psi_dual = max(psi_dual, -res.fun)
 
     psi = max(psi_direct, psi_dual)
 
-    # assemble the optimizer set: direct winners plus the planar optimizers
-    # at their excess vectors (the dual extraction)
+    # the optimizer set comes from the direct route alone, so it does not
+    # depend on the dual's seeded starts: the direct winners plus the planar
+    # optimizers at their excess vectors
     cands = [(a, b) for a, b, val in direct_pts]
     for a, b, val in direct_pts:
-        if val < psi - 1e-6 * (1.0 + abs(psi)):
+        if val < psi_direct - 1e-6 * (1.0 + abs(psi_direct)):
             continue
         sol = prog.solve(prog.excess(a, b))
-        cands.extend((o.a, o.b) for o in sol.optimizers)
-    for s_arg in dual_args:
-        sol = prog.solve(s_arg)
         cands.extend((o.a, o.b) for o in sol.optimizers)
 
     scored = sorted(
         ((a, b, g(np.float64(a), np.float64(b))) for a, b in cands),
         key=lambda t: -t[2])
-    window = 1e-8 * (1.0 + abs(psi))
-    cut = psi - window
-    if scored[0][2] < cut:
-        # psi_dual can sit above every scored candidate; the ties are then
-        # taken around the best candidate so the optimizer set is never empty
-        cut = scored[0][2] - window
+    window = 1e-8 * (1.0 + abs(psi_direct))
+    cut = scored[0][2] - window
     # a value tie of w pins a smooth maximum's argument only to about
     # sqrt(w), so tied candidates closer than that are one optimizer
     radius = math.sqrt(window)
@@ -367,13 +364,13 @@ def _golden(fun, lo, hi):
 def _max_1d(fun, lo, hi, dfun=None, grid_n=1601):
     """Grid scan plus golden-section refinement with plateau detection.
 
-    Returns (argmax, max, ambiguous, spread); golden section runs from the
+    Returns (argmax, max, ambiguous); golden section runs from the
     best grid cell and from up to 7 other near-optimal cells, and the runs
     count as ambiguous when their arguments disagree by 1e-5 while the
     values agree to 1e-9.
     """
     if hi <= lo:
-        return lo, float(fun(np.float64(lo))), False, 0.0
+        return lo, float(fun(np.float64(lo))), False
     grid = np.linspace(lo, hi, grid_n)
     vals = fun(grid)
     order = np.argsort(vals)[::-1]
@@ -417,7 +414,19 @@ def _max_1d(fun, lo, hi, dfun=None, grid_n=1601):
     close = [x for x, v in results if v >= v_best - 1e-9 * scale]
     spread = max(close) - min(close) if len(close) > 1 else 0.0
     ambiguous = spread >= 1e-5 * (1.0 + abs(x_best))
-    return float(x_best), float(v_best), bool(ambiguous), float(spread)
+    return float(x_best), float(v_best), bool(ambiguous)
+
+
+def _grow_domain(fun, lo, hi, label):
+    """Double hi until fun on [lo, hi] ends 1 below its maximum and peaks
+    before the last tenth of the interval."""
+    while True:
+        vals = fun(np.linspace(lo, hi, 257))
+        if vals[-1] <= vals.max() - 1.0 and np.argmax(vals) < 0.9 * len(vals):
+            return hi
+        hi *= 2.0
+        if hi > 2.0 ** 52:
+            raise DegeneracyError("%s branch appears unbounded" % label)
 
 
 def solve_s_c(motif):
@@ -489,19 +498,6 @@ class _Branches:
     def hub_slope(self, beta, b):
         return beta * self.f_prime(self.p_star(b)) * self.p_star.deriv(b) - 1.0
 
-    def hub_domain(self, beta):
-        if self.regular:
-            return 0.0, self.b_c
-        hi = 8.0
-        while True:
-            grid = np.linspace(0.0, hi, 257)
-            vals = self.hub_value(beta, grid)
-            if vals[-1] <= vals.max() - 1.0 and np.argmax(vals) < 0.9 * len(grid):
-                return 0.0, hi
-            hi *= 2.0
-            if hi > 2.0 ** 52:
-                raise DegeneracyError("hub branch appears unbounded")
-
     # clique branch in s directly: value beta f(1+s) - s^(2/v)/2
     def clique_value(self, beta, s):
         return beta * self.f(1.0 + s) - 0.5 * np.asarray(s, float) ** (2.0 / self.v)
@@ -510,32 +506,20 @@ class _Branches:
         return (beta * self.f_prime(1.0 + s)
                 - (1.0 / self.v) * s ** (2.0 / self.v - 1.0))
 
-    def clique_domain(self, beta):
-        lo = self.s_c
-        hi = max(2.0 * lo, 8.0)
-        while True:
-            grid = np.linspace(lo, hi, 257)
-            vals = self.clique_value(beta, grid)
-            if vals[-1] <= vals.max() - 1.0 and np.argmax(vals) < 0.9 * len(grid):
-                return lo, hi
-            hi *= 2.0
-            if hi > 2.0 ** 52:
-                raise DegeneracyError("clique branch appears unbounded")
-
-    def hub_max(self, beta, grid_n=1601):
-        lo, hi = self.hub_domain(beta)
-        b, val, amb, spread = _max_1d(
-            lambda t: self.hub_value(beta, t), lo, hi,
-            dfun=lambda t: self.hub_slope(beta, t), grid_n=grid_n)
-        s = float(self.p_star(b)) - 1.0
-        return s, b, val, amb
-
-    def clique_max(self, beta, grid_n=1601):
-        lo, hi = self.clique_domain(beta)
-        s, val, amb, spread = _max_1d(
-            lambda t: self.clique_value(beta, t), lo, hi,
-            dfun=lambda t: self.clique_slope(beta, t), grid_n=grid_n)
-        return s, val, amb
+    def branch_max(self, beta, branch, grid_n=1601):
+        """(argmax, max, ambiguous) of the "hub" branch over b, on [0, b_c]
+        for a regular motif, or of the "clique" branch over s >= s_c."""
+        hub = branch == "hub"
+        value = self.hub_value if hub else self.clique_value
+        slope = self.hub_slope if hub else self.clique_slope
+        lo = 0.0 if hub else self.s_c
+        if hub and self.regular:
+            hi = self.b_c
+        else:
+            hi = _grow_domain(lambda t: value(beta, t), lo,
+                              max(2.0 * lo, 8.0), branch)
+        return _max_1d(lambda t: value(beta, t), lo, hi,
+                       dfun=lambda t: slope(beta, t), grid_n=grid_n)
 
 
 _BETA_C_MEMO = {}
@@ -551,9 +535,8 @@ def solve_beta_c(model):
         return _BETA_C_MEMO[key]
 
     def gap(beta):
-        _, _, hub, _ = br.hub_max(beta, grid_n=501)
-        _, clique, _ = br.clique_max(beta, grid_n=501)
-        return hub - clique
+        return (br.branch_max(beta, "hub", grid_n=501)[1]
+                - br.branch_max(beta, "clique", grid_n=501)[1])
 
     lo, hi = 0.0, 1.0
     g_hi = gap(hi)
@@ -582,13 +565,10 @@ def solve_beta_o(model):
     def ratio(s):
         s = np.asarray(s, dtype=float)
         den = br.f(1.0 + s) - br.f(1.0)
+        phi = np.array([br.p_star.inverse(1.0 + x)
+                        for x in np.atleast_1d(s)]).reshape(s.shape)
         if br.regular:
-            phi = np.minimum(0.5 * s ** (2.0 / br.v),
-                             np.array([br.p_star.inverse(1.0 + x) for x in
-                                       np.atleast_1d(s)]).reshape(s.shape))
-        else:
-            phi = np.array([br.p_star.inverse(1.0 + x)
-                            for x in np.atleast_1d(s)]).reshape(s.shape)
+            phi = np.minimum(0.5 * s ** (2.0 / br.v), phi)
         with np.errstate(divide="ignore"):
             return np.where(den > 0.0, phi / np.where(den > 0, den, 1.0), np.inf)
 
@@ -607,9 +587,10 @@ def edge_f_solve(model):
     br = _Branches(model)
     beta = model.beta
     warnings = []
-    s_hub, b_star, value_hub, amb_h = br.hub_max(beta)
+    b_star, value_hub, amb_h = br.branch_max(beta, "hub")
+    s_hub = float(br.p_star(b_star)) - 1.0
     if br.regular:
-        s_clique, value_clique, amb_c = br.clique_max(beta)
+        s_clique, value_clique, amb_c = br.branch_max(beta, "clique")
         a_star = s_clique ** (2.0 / br.v)
         beta_c = solve_beta_c(br)
         tie_scale = 1.0 + abs(value_hub) + abs(value_clique)

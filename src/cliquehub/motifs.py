@@ -264,26 +264,22 @@ def indep_poly(motif):
 class WeightTable:
     """Symmetric [0,1] weight matrix with zero diagonal."""
 
-    def __init__(self, matrix, binary=None, validate=True):
+    def __init__(self, matrix):
         x = np.array(matrix, dtype=np.float64)
-        if validate:
-            if x.ndim != 2 or x.shape[0] != x.shape[1]:
-                raise DomainError("weight table must be square")
-            if x.shape[0] > 0:
-                if not np.all(np.isfinite(x)):
-                    raise DomainError("weights must be finite")
-                if np.max(np.abs(x - x.T)) > 1e-12:
-                    raise DomainError("weight table must be symmetric")
-                if np.max(np.abs(np.diag(x))) > 1e-12:
-                    raise DomainError("weight table diagonal must be zero")
-                if x.min() < -1e-12 or x.max() > 1.0 + 1e-12:
-                    raise DomainError("weights must lie in [0, 1]")
-            x = np.clip(x, 0.0, 1.0)
-            np.fill_diagonal(x, 0.0)
+        if x.ndim != 2 or x.shape[0] != x.shape[1]:
+            raise DomainError("weight table must be square")
+        if x.shape[0] > 0:
+            if not np.all(np.isfinite(x)):
+                raise DomainError("weights must be finite")
+            if np.max(np.abs(x - x.T)) > 1e-12:
+                raise DomainError("weight table must be symmetric")
+            if np.max(np.abs(np.diag(x))) > 1e-12:
+                raise DomainError("weight table diagonal must be zero")
+            if x.min() < -1e-12 or x.max() > 1.0 + 1e-12:
+                raise DomainError("weights must lie in [0, 1]")
+        x = np.clip(x, 0.0, 1.0)
+        np.fill_diagonal(x, 0.0)
         self.matrix = x
-        if binary is None:
-            binary = bool(np.all((x == 0.0) | (x == 1.0)))
-        self.binary = binary
 
     @property
     def n(self):
@@ -336,7 +332,7 @@ def er_table(n, p, rng):
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     x = (upper & (rng.random((n, n)) < p)).astype(np.float64)
     x = x + x.T
-    return WeightTable(x, binary=True, validate=False)
+    return WeightTable(x)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +490,14 @@ def _count_cliques(masks, n, r):
     return count
 
 
-def _contract(edges, x, out=(), max_maps=math.inf):
-    """Sum over maps of the edge list's vertices into [n] of the product of
-    x[image of u, image of w] over its edges (u, w), keeping the vertices
-    listed in out as free indices, in that order.
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(edges, out, n):
+    """Subscripts, greedy einsum path and map count for contracting the edge
+    tuple on an n-vertex table; the path depends only on the shapes.
 
-    Vertex i is LETTERS[i].  np.einsum contracts along a greedy pairwise
-    path whose intermediates are no bigger than x; max_maps bounds the
-    index tuples that the path's steps run over.
+    Vertex i is LETTERS[i].  The greedy pairwise path keeps intermediates no
+    bigger than the table, and the map count is the number of index tuples
+    its steps run over.
     """
     if max(max(e) for e in edges) >= len(LETTERS):
         raise CapabilityError("contractions support motifs up to %d vertices"
@@ -509,18 +505,28 @@ def _contract(edges, x, out=(), max_maps=math.inf):
     terms = [LETTERS[u] + LETTERS[w] for u, w in edges]
     free = "".join(LETTERS[v] for v in out)
     subs = ",".join(terms) + "->" + free
-    ops = [x] * len(terms)
-    path = np.einsum_path(subs, *ops, optimize=True)[0]
+    ops = [np.broadcast_to(0.0, (n, n))] * len(terms)
+    path = tuple(np.einsum_path(subs, *ops, optimize=True)[0])
     live = [set(t) for t in terms]
     maps = 0.0
     for step in path[1:]:
         joined = set().union(*(live[i] for i in step))
-        maps += float(x.shape[0]) ** len(joined)
+        maps += float(n) ** len(joined)
         live = [t for i, t in enumerate(live) if i not in step]
         live.append(joined & set(free).union(*live))
+    return subs, path, maps
+
+
+def _contract(edges, x, out=(), max_maps=math.inf):
+    """Sum over maps of the edge list's vertices into [n] of the product of
+    x[image of u, image of w] over its edges (u, w), keeping the vertices
+    listed in out as free indices, in that order; max_maps bounds the index
+    tuples the contraction runs over."""
+    edges = tuple(edges)
+    subs, path, maps = _contraction_plan(edges, tuple(out), x.shape[0])
     if maps > max_maps:
         raise CapabilityError("contraction limited to %g maps" % max_maps)
-    return np.einsum(subs, *ops, optimize=path)
+    return np.einsum(subs, *[x] * len(edges), optimize=path)
 
 
 def hom_sum_generic(motif, x):
@@ -598,51 +604,25 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
 # toggle deltas: change in the homomorphism sum when edge {i,j} goes 0 -> 1
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_update_words(ell):
-    """All gap sequences of cyclic words in {B,E}^ell with at least one E."""
-    out = []
-    for bits in range(1, 1 << ell):
-        word = [(bits >> t) & 1 for t in range(ell)]
-        first = word.index(1)
-        word = word[first:] + word[:first]  # rotate to start with E
-        gaps = []
-        run = 0
-        for b in word[1:]:
-            if b:
-                gaps.append(run)
-                run = 0
-            else:
-                run += 1
-        gaps.append(run)
-        out.append(tuple(gaps))
-    return tuple(out)
-
-
 def _cycle_delta(ell, x, i, j):
-    """tr((B+E)^ell) - tr(B^ell) with B = x minus edge ij, E the ij pair."""
+    """tr((B+E)^ell) - tr(B^ell) with B = x minus edge ij, E the ij pair.
+
+    The difference telescopes to sum_k tr(E B^k (B+E)^(ell-1-k)).  With
+    U = [e_i, e_j], each term sums the products of B^k U, columns swapped,
+    and (B+E)^(ell-1-k) U.  B and B+E are x plus a multiple of E, which
+    swaps rows i and j, so both powers share one product with x per step
+    and the table is never copied.
+    """
     n = x.shape[0]
-    b = x.copy()
-    b[i, j] = b[j, i] = 0.0
-    # powers of B applied to the two unit vectors
-    cols = np.zeros((ell, n, 2))
-    cols[0, i, 0] = 1.0
-    cols[0, j, 1] = 1.0
-    for a in range(1, ell):
-        cols[a] = b @ cols[a - 1]
-    w = np.empty((ell, 2, 2))
-    for a in range(ell):
-        w[a, 0, 0] = cols[a, j, 0]
-        w[a, 0, 1] = cols[a, j, 1]
-        w[a, 1, 0] = cols[a, i, 0]
-        w[a, 1, 1] = cols[a, i, 1]
-    total = 0.0
-    for gaps in _trace_update_words(ell):
-        m = w[gaps[0]]
-        for g in gaps[1:]:
-            m = m @ w[g]
-        total += m[0, 0] + m[1, 1]
-    return float(total)
+    w = np.repeat([-x[i, j], 1.0 - x[i, j]], 2)
+    # v[k] holds the columns B^k e_i, B^k e_j, (B+E)^k e_i, (B+E)^k e_j
+    v = np.zeros((ell, n, 4))
+    v[0, i, 0::2] = v[0, j, 1::2] = 1.0
+    for k in range(1, ell):
+        np.matmul(x, v[k - 1], out=v[k])
+        v[k, i] += w * v[k - 1, j]
+        v[k, j] += w * v[k - 1, i]
+    return float(np.sum(v[:, :, 1::-1] * v[::-1, :, 2:]))
 
 
 def hom_sum_delta(motif, table, i, j):

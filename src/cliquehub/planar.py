@@ -24,7 +24,7 @@ from .motifs import indep_poly, validate_family
 TIE_TOL = 1e-9
 DEDUP_TOL = 1e-8
 NEAR_WINDOW = 0.1
-FEAS_TOL = 1e-8
+FEAS_TOL = 1e-12
 ACTIVE_TOL = 1e-7
 
 

@@ -137,14 +137,15 @@ def test_weight_table_round_trips():
     again2 = WeightTable.from_json_dict(t.to_json_dict())
     assert np.allclose(again2.matrix, t.matrix)
     b = random_table(7, 0.4, seed=12, binary=True)
-    assert b.binary
-    assert WeightTable.from_bytes(b.to_bytes()).binary
+    again3 = WeightTable.from_bytes(b.to_bytes()).matrix
+    assert np.array_equal(again3, b.matrix)
+    assert np.all((again3 == 0.0) | (again3 == 1.0))
 
 
 def test_er_table_is_binary_and_seeded():
     rng = np.random.default_rng(5)
     t = er_table(20, 0.3, rng)
-    assert t.binary
+    assert np.all((t.matrix == 0.0) | (t.matrix == 1.0))
     assert np.array_equal(t.matrix, t.matrix.T)
     assert np.all(np.diag(t.matrix) == 0)
     t2 = er_table(20, 0.3, np.random.default_rng(5))
@@ -323,6 +324,25 @@ def test_hom_delta_matches_recompute():
         x[v, :] = x[:, v] = row
     check(x, i, j)
     check(x, 3, 9)  # rows with weighted entries take the generic path
+
+
+@pytest.mark.parametrize("ell", range(4, 9))
+def test_cycle_delta_is_exact_on_binary_tables(ell):
+    # binary counts are integers far below 2^53, so the telescoped delta must
+    # equal the difference of two recounts exactly, present edge or absent
+    rng = np.random.default_rng(ell)
+    motif = cycle_motif(ell)
+    for seed in range(4):
+        n = int(rng.integers(8, 40))
+        x = random_table(n, 0.3, seed=300 + seed).matrix
+        for _ in range(5):
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            with_edge = x.copy()
+            with_edge[i, j] = with_edge[j, i] = 1.0
+            without = x.copy()
+            without[i, j] = without[j, i] = 0.0
+            want = hom_sum(motif, with_edge) - hom_sum(motif, without)
+            assert hom_sum_delta(motif, x, i, j) == want
 
 
 def test_hom_density_delta_scaling():
