@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CapabilityError, CliqueHubError, DomainError, InternalError
-from .motifs import WeightTable, hom_density, resolve_motif
+from .motifs import WeightTable, hom_density, load_json, resolve_motif
 from .planar import phi_region_emit, phi_solve
 from .hamiltonian import EdgeFModel, edge_f_solve, load_hamiltonian, psi_solve
 from .nmf import NmfProblem, nmf_solve, phi_np_solve
@@ -170,8 +170,7 @@ class Manifest:
 
 def _load_table(path):
     if path.endswith(".json"):
-        with open(path) as fh:
-            return WeightTable.from_json_dict(json.load(fh))
+        return WeightTable.from_json_dict(load_json(path, "weight table"))
     with open(path, "rb") as fh:
         return WeightTable.from_bytes(fh.read())
 
@@ -355,6 +354,8 @@ def cmd_finner_check(args, manifest):
         return 0 if ok else 1
     if args.suite != "random":
         raise DomainError("unknown suite %r" % args.suite)
+    if args.count < 1:
+        raise DomainError("--count must be at least 1")
     worst = 0.0
     for k in range(args.count):
         rng = np.random.default_rng(

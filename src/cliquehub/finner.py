@@ -9,12 +9,12 @@ contraction scheme.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError
+from .motifs import load_json
 
 STATE_CAP = 1.0e7
 
@@ -166,8 +166,7 @@ def instance_to_dict(inst):
 
 
 def load_instance(path):
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(load_json(path, "instance"))
 
 
 # ---------------------------------------------------------------------------

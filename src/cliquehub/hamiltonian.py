@@ -15,15 +15,13 @@ over.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegeneracyError, DomainError
-from .motifs import indep_poly, resolve_motif, validate_family
+from .motifs import indep_poly, load_json, resolve_motif, validate_family
 from .planar import PlanarProgram
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -135,8 +133,7 @@ def hamiltonian_from_json_dict(d):
 
 
 def load_hamiltonian(path):
-    with open(path) as fh:
-        return hamiltonian_from_json_dict(json.load(fh))
+    return hamiltonian_from_json_dict(load_json(path, "hamiltonian"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +188,9 @@ def _distinct(points, radius):
 
 
 def psi_solve(spec, seed=0):
+    # imported here to keep scipy off the start-up path of the CLI
+    from scipy.optimize import minimize
+
     report = validate_hamiltonian(spec)
     if not report.ok:
         raise DomainError("invalid hamiltonian: %s" % report.errors)

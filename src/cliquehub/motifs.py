@@ -143,6 +143,16 @@ def motif_from_name(name):
     raise DomainError("unknown motif name %r" % name)
 
 
+def load_json(path, what):
+    """The JSON document at path; text that is not JSON is a DomainError
+    that names what the file should hold."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DomainError("bad %s json: %s" % (what, exc))
+
+
 def resolve_motif(spec):
     """Accept a Motif, a built-in name, or a path to a motif json file."""
     if isinstance(spec, Motif):
@@ -154,8 +164,7 @@ def resolve_motif(spec):
     except DomainError:
         pass
     try:
-        with open(spec) as fh:
-            return Motif.from_json_dict(json.load(fh))
+        return Motif.from_json_dict(load_json(spec, "motif"))
     except OSError:
         raise DomainError("cannot resolve motif %r" % spec)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
 from .hamiltonian import h_value, psi_solve
@@ -30,6 +29,9 @@ EPS_CLIP = 1e-9
 
 def relative_entropy(q, p):
     """I_p(q) = q log(q/p) + (1-q) log((1-q)/(1-p)), elementwise."""
+    # imported here to keep scipy off the start-up path of the CLI
+    from scipy.special import rel_entr
+
     q = np.asarray(q, dtype=float)
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 
@@ -85,6 +87,8 @@ class NmfProblem:
             self.s = tuple(float(v) for v in self.s)
             if len(self.s) != len(self.family):
                 raise DomainError("s length must match the family")
+            if not all(math.isfinite(v) for v in self.s):
+                raise DomainError("targets must be finite")
             if any(v < 0.0 for v in self.s):
                 raise DomainError("targets must be nonnegative")
         fam = validate_family(self.family, allow_mixed_max_degree=True)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapabilityError, DomainError, InternalError
 from .hamiltonian import HamiltonianSpec, h_value, psi_solve, validate_hamiltonian
@@ -216,6 +215,9 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
     function on the absolute scale, and the exact distribution over states
     (bit k of the state index is pair k of pair_list(n)).
     """
+    # imported here to keep scipy off the start-up path of the CLI
+    from scipy.special import logsumexp
+
     if n > ENUM_MAX_VERTICES:
         raise CapabilityError("exact enumeration supports n <= %d"
                               % ENUM_MAX_VERTICES)

@@ -96,13 +96,16 @@ def test_non_finite_beta_is_a_domain_error(capsys, tmp_path):
 
 
 def test_non_finite_planar_target_is_a_domain_error(capsys):
-    for s in ("nan", "2.0,nan", "inf"):
-        motifs = "C3" if s.count(",") == 0 else "K12,C3"
-        code, out, err = run_cli(capsys, ["planar-phi", "--motifs", motifs,
-                                          "--s", s])
-        assert code == 1, s
-        assert out == ""
-        assert err == "error:domain:targets must be finite\n"
+    # phi-np takes the planar targets too; a NaN one activates no floor, so
+    # it never reaches the planar solve
+    for command in (["planar-phi"], ["phi-np", "--n", "8", "--p", "0.2"]):
+        for s in ("nan", "2.0,nan", "inf"):
+            motifs = "C3" if s.count(",") == 0 else "K12,C3"
+            code, out, err = run_cli(capsys, command + ["--motifs", motifs,
+                                                        "--s", s])
+            assert code == 1, (command[0], s)
+            assert out == ""
+            assert err == "error:domain:targets must be finite\n"
 
 
 def test_capability_error_exit_2(capsys, tmp_path):
@@ -406,6 +409,35 @@ def test_finner_instance_recover(capsys, tmp_path):
     assert max(doc["residuals"]) <= 1e-9
     assert set(doc["factors"]) == {",".join(str(v) for v in c)
                                    for c in inst.classes}
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--hamiltonian", "{bad}"],
+    ["nmf", "--n", "8", "--p", "0.2", "--hamiltonian", "{bad}"],
+    ["sample", "--n", "8", "--p", "0.2", "--sweeps", "1",
+     "--hamiltonian", "{bad}"],
+    ["finner-check", "--instance", "{bad}"],
+    ["finner-check", "--instance", os.devnull],
+    ["phi-np", "--n", "8", "--p", "0.2", "--s", "1.0", "--motifs", "{bad}"],
+    ["hom-density", "--motif", "C3", "--table", "{bad}"],
+], ids=["psi", "nmf", "sample", "finner", "finner-empty", "motif", "table"])
+def test_malformed_json_is_a_domain_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"family": ["C3"], ')
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:bad ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_finner_suite_count_below_one_is_a_domain_error(capsys, count):
+    code, out, err = run_cli(capsys, ["finner-check", "--suite", "random",
+                                      "--count", count])
+    assert code == 1
+    assert out == ""
+    assert err == "error:domain:--count must be at least 1\n"
 
 
 def test_finner_check_needs_mode(capsys):

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import cliquehub
 
@@ -44,3 +47,19 @@ def test_no_catch_all_handlers_in_the_package():
                                                       name.id))
     assert SOURCES
     assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize and scipy.special take about 0.5 s to import, so only
+    # the functions that call them may import them
+    probe = ("import sys, cliquehub.cli; "
+             "print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')))")
+    src = str(pathlib.Path(cliquehub.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
