@@ -134,26 +134,30 @@ def _equivalence_classes(n, sets):
 
 
 def instance_from_dict(data):
+    # a document of the wrong shape (a number for a list, a vertex past the
+    # spaces, text for a weight) fails somewhere in here; all of it is input
     try:
         spaces = data["spaces"]
         system = [(entry["A"], entry["lambda"]) for entry in data["system"]]
-        raw_fns = data["functions"]
-    except (KeyError, TypeError) as bad:
+        raw_fns = [(entry["A_index"], entry["values"])
+                   for entry in data["functions"]]
+        if sorted(idx for idx, _ in raw_fns) != list(range(len(system))):
+            raise DomainError("functions must cover each system entry once")
+        functions = [None] * len(system)
+        for idx, values in raw_fns:
+            idx = int(idx)
+            verts = tuple(sorted(set(system[idx][0])))
+            shape = tuple(len(spaces[v]) for v in verts)
+            flat = np.asarray(values, dtype=float)
+            if flat.size != int(np.prod(shape)):
+                raise DomainError("function %d has %d values, expected %d"
+                                  % (idx, flat.size, int(np.prod(shape))))
+            functions[idx] = flat.reshape(shape)
+        return ProductInstance(spaces, system, functions)
+    except KeyError as bad:
         raise DomainError("instance document missing %s" % bad)
-    if sorted(entry.get("A_index") for entry in raw_fns) != \
-            list(range(len(system))):
-        raise DomainError("functions must cover each system entry once")
-    functions = [None] * len(system)
-    for entry in raw_fns:
-        idx = int(entry["A_index"])
-        verts = tuple(sorted(set(system[idx][0])))
-        shape = tuple(len(spaces[v]) for v in verts)
-        flat = np.asarray(entry["values"], dtype=float)
-        if flat.size != int(np.prod(shape)):
-            raise DomainError("function %d has %d values, expected %d"
-                              % (idx, flat.size, int(np.prod(shape))))
-        functions[idx] = flat.reshape(shape)
-    return ProductInstance(spaces, system, functions)
+    except (IndexError, TypeError, ValueError) as bad:
+        raise DomainError("bad instance document: %s" % bad)
 
 
 def instance_to_dict(inst):

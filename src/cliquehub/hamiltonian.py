@@ -120,6 +120,9 @@ def hamiltonian_to_json_dict(spec):
 def hamiltonian_from_json_dict(d):
     try:
         family = tuple(d["family"])
+        if not all(isinstance(m, (str, dict)) for m in family):
+            raise DomainError("bad hamiltonian json: family entries must be "
+                              "motif names or motif documents")
         terms = tuple(
             HamiltonianTerm(int(t["k"]), float(t["beta"]),
                             float(t.get("shift", 1.0)),
@@ -187,10 +190,88 @@ def _distinct(points, radius):
     return kept
 
 
-def psi_solve(spec, seed=0):
-    # imported here to keep scipy off the start-up path of the CLI
-    from scipy.optimize import minimize
+class _MaxFev(Exception):
+    """The evaluation budget of a _nelder_mead run is spent."""
 
+
+def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
+    """Minimize fun from x0 by the Nelder-Mead simplex method.
+
+    The steps are scipy 1.17's minimize(method="Nelder-Mead") without
+    bounds, step for step: the same initial simplex, coefficients
+    (1, 2, 0.5, 0.5), sorts and stops, so x, fun, nfev and nit agree with
+    it bit for bit.  As there, the maxfev stop may cut a shrink short,
+    leaving the moved vertices' old values in fsim.  Returns
+    (x, fun, nfev, nit).
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return fun(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # scipy sorts the first simplex twice; a sort is unstable in general
+    sim, fsim = by_value(*by_value(sim, fsim))
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _MaxFev:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim), nfev, nit
+
+
+def psi_solve(spec, seed=0):
     report = validate_hamiltonian(spec)
     if not report.ok:
         raise DomainError("invalid hamiltonian: %s" % report.errors)
@@ -215,12 +296,11 @@ def psi_solve(spec, seed=0):
     best = -np.inf
     direct_pts = []
     for a0, b0 in starts:
-        res = minimize(neg, [math.sqrt(a0), math.sqrt(b0)],
-                       method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=1e-14,
-                                    maxiter=4000, maxfev=4000))
-        a, b = res.x[0] ** 2, res.x[1] ** 2
-        val = -res.fun
+        x, fun, _, _ = _nelder_mead(neg, [math.sqrt(a0), math.sqrt(b0)],
+                                    xatol=1e-10, fatol=1e-14,
+                                    maxiter=4000, maxfev=4000)
+        a, b = x[0] ** 2, x[1] ** 2
+        val = -fun
         direct_pts.append((a, b, val))
         best = max(best, val)
     psi_direct = best
@@ -246,18 +326,16 @@ def psi_solve(spec, seed=0):
         dual_starts.append(rng.uniform(0.0, 4.0, size=m) ** 2)
     explored = []
     for s0 in dual_starts:
-        res = minimize(neg_dual, np.sqrt(np.maximum(s0, 0.0)),
-                       method="Nelder-Mead",
-                       options=dict(xatol=1e-6, fatol=1e-10,
-                                    maxiter=400, maxfev=400))
-        explored.append((res.fun, res.x))
+        x, fun, _, _ = _nelder_mead(neg_dual, np.sqrt(np.maximum(s0, 0.0)),
+                                    xatol=1e-6, fatol=1e-10,
+                                    maxiter=400, maxfev=400)
+        explored.append((fun, x))
     explored.sort(key=lambda t: t[0])
     psi_dual = -np.inf
     for fun0, x0 in explored[:2]:
-        res = minimize(neg_dual, x0, method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=1e-14,
-                                    maxiter=1500, maxfev=1500))
-        psi_dual = max(psi_dual, -res.fun)
+        fun = _nelder_mead(neg_dual, x0, xatol=1e-10, fatol=1e-14,
+                           maxiter=1500, maxfev=1500)[1]
+        psi_dual = max(psi_dual, -fun)
 
     psi = max(psi_direct, psi_dual)
 

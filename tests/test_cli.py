@@ -431,6 +431,36 @@ def test_malformed_json_is_a_domain_error(capsys, tmp_path, argv):
     assert err.startswith("error:domain:bad ") and err.count("\n") == 1, err
 
 
+GOOD_INSTANCE = {"spaces": [[1.0]], "system": [{"A": [0], "lambda": 1.0}],
+                 "functions": [{"A_index": 0, "values": [1.0]}]}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("functions", [1]),
+    ("system", [{"A": [3], "lambda": 1.0}]),
+    ("system", [{"A": [0], "lambda": "x"}]),
+], ids=["function-number", "vertex-past-spaces", "text-weight"])
+def test_misshapen_instance_is_a_domain_error(capsys, tmp_path, key, value):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(GOOD_INSTANCE, **{key: value})))
+    code, out, err = run_cli(capsys, ["finner-check", "--instance", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:bad instance document: ")
+    assert err.count("\n") == 1, err
+
+
+def test_non_string_family_entry_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"family": [5], "terms": [
+        {"k": 0, "beta": 1.0, "gamma": 0.3}]}))
+    code, out, err = run_cli(capsys, ["psi", "--hamiltonian", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == ("error:domain:bad hamiltonian json: family entries must "
+                   "be motif names or motif documents\n")
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_finner_suite_count_below_one_is_a_domain_error(capsys, count):
     code, out, err = run_cli(capsys, ["finner-check", "--suite", "random",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cliquehub import hamiltonian
 from cliquehub.errors import DegeneracyError, DomainError
 from cliquehub.hamiltonian import (
     EdgeFModel,
@@ -147,6 +148,64 @@ def test_psi_optimizers_do_not_depend_on_the_seed():
     assert sol0.psi_direct == sol7.psi_direct
     assert sol0.optimizers == sol7.optimizers
     assert sol0.s_star == sol7.s_star
+
+
+def test_nelder_mead_repeats_scipy_bit_for_bit(monkeypatch):
+    # psi's simplex search repeats scipy's Nelder-Mead step for step; run
+    # both on every search one psi solve makes (direct starts, dual
+    # exploration, dual polish) and on two test functions, at the searches'
+    # own limits and at budgets of 7 and 13 evaluations
+    from scipy.optimize import minimize
+
+    runs = []
+    search = hamiltonian._nelder_mead
+
+    def record(fun, x0, **limits):
+        runs.append((fun, np.array(x0, dtype=float), limits))
+        return search(fun, x0, **limits)
+
+    monkeypatch.setattr(hamiltonian, "_nelder_mead", record)
+    psi_solve(HamiltonianSpec(("K12", "C3"),
+                              (HamiltonianTerm(0, 0.7, 1.0, 0.6),
+                               HamiltonianTerm(1, 0.4, 1.2, 0.5))))
+    monkeypatch.undo()
+    assert len(runs) == 12 + 6 + 2
+
+    def rosen(x):
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                            + (1.0 - x[:-1]) ** 2))
+
+    def staircase(x):
+        # flat steps fail the contractions, so shrinks come early and the
+        # simplex values tie
+        return float(np.floor(8.0 * np.sum(x ** 2)))
+
+    limits = dict(xatol=1e-8, fatol=1e-8, maxiter=4000, maxfev=4000)
+    for fun in (rosen, staircase):
+        for x0 in ([-1.2, 1.0], [0.0, 0.5, -0.3], [1.3, 0.7, 0.8, 1.9]):
+            runs.append((fun, np.array(x0), limits))
+
+    def outcome(x, fun, nfev, nit):
+        return repr((x.dtype, x.tolist(), fun, nfev, nit))
+
+    cut_shrinks = 0
+    for fun, x0, limits in runs:
+        for maxfev in (limits["maxfev"], 7, 13):
+            lim = dict(limits, maxfev=maxfev)
+            seen = set()
+
+            def seen_fun(x):
+                seen.add(x.tobytes())
+                return fun(x)
+
+            res = minimize(seen_fun, x0, method="Nelder-Mead", options=lim)
+            assert outcome(*search(fun, x0, **lim)) == \
+                outcome(res.x, res.fun, res.nfev, res.nit)
+            # a shrink cut short leaves a moved vertex never evaluated
+            if maxfev > len(x0) + 1 and any(
+                    v.tobytes() not in seen for v in res.final_simplex[0]):
+                cut_shrinks += 1
+    assert cut_shrinks >= 2
 
 
 def test_s_c_triangle():

@@ -49,17 +49,49 @@ def test_no_catch_all_handlers_in_the_package():
     assert found == []
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.optimize and scipy.special take about 0.5 s to import, so only
-    # the functions that call them may import them
-    probe = ("import sys, cliquehub.cli; "
-             "print(' '.join(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy')))")
+def test_no_module_imports_scipy_optimize():
+    # psi's simplex search lives in the package; scipy.optimize alone costs
+    # about 0.6 s to import
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, alias.name)
+                         for alias in node.names]
+            else:
+                continue
+            if any((n + ".").startswith("scipy.optimize.") for n in names):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert SOURCES
+    assert found == []
+
+
+HAMILTONIAN = ('{"family": ["K12", "C3"], "terms": ['
+               '{"k": 0, "beta": 0.7, "gamma": 0.6}, '
+               '{"k": 1, "beta": 0.4, "shift": 1.2, "gamma": 0.5}]}')
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy.special takes about 0.3 s to import, so only the functions that
+    # call it may import it; neither the import nor psi nor sample reach one
+    ham = tmp_path / "h.json"
+    ham.write_text(HAMILTONIAN)
     src = str(pathlib.Path(cliquehub.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    for argv in (None,
+                 ["psi", "--hamiltonian", str(ham)],
+                 ["sample", "--n", "8", "--p", "0.2", "--sweeps", "1",
+                  "--hamiltonian", str(ham)]):
+        run = "" if argv is None else \
+            "assert cliquehub.cli.main(%r) == 0; " % (argv,)
+        probe = ("import sys, cliquehub.cli; " + run +
+                 "print(' '.join(['scipy:'] + sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["scipy:"], argv
