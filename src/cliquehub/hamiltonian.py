@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .motifs import indep_poly, load_json, resolve_motif, validate_family
+from .motifs import (_is_int, indep_poly, load_json, motif_from_name,
+                     resolve_motif, validate_family)
 from .planar import PlanarProgram
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,9 +107,19 @@ def h_at_one(spec):
     return float(h_value(spec, np.ones(len(spec.family))))
 
 
+def _motif_json(motif):
+    """The motif's name when that name resolves to it, else its document."""
+    try:
+        if motif_from_name(motif.name) == motif:
+            return motif.name
+    except DomainError:
+        pass
+    return motif.to_json_dict()
+
+
 def hamiltonian_to_json_dict(spec):
     return {
-        "family": [m.name for m in spec.family],
+        "family": [_motif_json(m) for m in spec.family],
         "terms": [
             {"k": t.k, "beta": t.beta, "shift": t.shift, "gamma": t.gamma}
             for t in spec.terms
@@ -123,8 +134,11 @@ def hamiltonian_from_json_dict(d):
         if not all(isinstance(m, (str, dict)) for m in family):
             raise DomainError("bad hamiltonian json: family entries must be "
                               "motif names or motif documents")
+        if not all(_is_int(t["k"]) for t in d["terms"]):
+            raise DomainError("bad hamiltonian json: term index k must be "
+                              "an integer")
         terms = tuple(
-            HamiltonianTerm(int(t["k"]), float(t["beta"]),
+            HamiltonianTerm(t["k"], float(t["beta"]),
                             float(t.get("shift", 1.0)),
                             float(t["gamma"]))
             for t in d["terms"]
@@ -661,6 +675,8 @@ def solve_beta_o(model):
     return float(min(vals[i], -neg_val))
 
 
+# an overflowing branch is reported as a DomainError below, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def edge_f_solve(model):
     br = _Branches(model)
     beta = model.beta
@@ -689,6 +705,10 @@ def edge_f_solve(model):
         phase = "hub"
         psi = value_hub
         s_star = s_hub
+    if not (math.isfinite(value_hub) and math.isfinite(psi)
+            and value_clique < math.inf):
+        raise DomainError("edge-f branch values are not finite at beta=%g"
+                          % beta)
     ambiguous = bool(amb_h or amb_c)
     if ambiguous:
         warnings.append("branch maximizer is flat beyond 1e-5; reporting one end")

@@ -31,6 +31,10 @@ GENERIC_MAX_MAPS = 1e10
 EXHAUSTIVE_MAX_MAPS = 1e8
 
 
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Motif:
     """A small simple graph used as a counting pattern."""
@@ -40,13 +44,15 @@ class Motif:
     edges: tuple
 
     def __post_init__(self):
-        if self.vertices < 1:
-            raise DomainError("motif needs at least one vertex")
+        if not _is_int(self.vertices) or self.vertices < 1:
+            raise DomainError("motif vertices must be a positive integer")
         seen = set()
         for e in self.edges:
             if len(e) != 2:
                 raise DomainError("edges must be pairs")
             u, w = e
+            if not (_is_int(u) and _is_int(w)):
+                raise DomainError("edge endpoints must be integers")
             if not (0 <= u < w < self.vertices):
                 raise DomainError("edge endpoints must satisfy 0 <= u < w < vertices")
             if (u, w) in seen:
@@ -103,7 +109,7 @@ class Motif:
     def from_json_dict(d):
         try:
             edges = tuple(sorted(tuple(sorted(e)) for e in d["edges"]))
-            return Motif(str(d["name"]), int(d["vertices"]), edges)
+            return Motif(str(d["name"]), d["vertices"], edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("bad motif json: %s" % exc)
 
@@ -187,10 +193,6 @@ class IndepPoly:
         self._rev = [float(c) for c in self.coeffs[::-1]]
         self._rev_deriv = [float(k * self.coeffs[k])
                            for k in range(len(self.coeffs) - 1, 0, -1)]
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def __call__(self, x):
         # Horner; plain arithmetic for scalars, numpy for arrays
@@ -596,6 +598,22 @@ def _density_core(motif):
     return motif.plan.core or Motif(motif.name, 1, ())
 
 
+def _normalize(total, core, n, scale):
+    """A hom sum, toggle delta or gradient of the core divided by
+    scale^e n^v; an underflowed divisor or a non-finite result is a
+    DomainError."""
+    norm = scale ** core.edge_count * float(n) ** core.vertices
+    if norm == 0.0:
+        raise DomainError("density normalizer underflows at scale %g" % scale)
+    # the largest magnitude, divided as a Python float, which never warns
+    peak = (abs(total) if isinstance(total, float)
+            else float(np.abs(total).max(initial=0.0)))
+    if not math.isfinite(peak / norm):
+        raise DomainError("density of %s at scale %g is not finite"
+                          % (core.name, scale))
+    return total / norm
+
+
 def hom_density(motif, table, scale=1.0, engine="auto"):
     """t(F, X/scale) for a WeightTable or plain symmetric matrix."""
     x = _as_matrix(table)
@@ -605,8 +623,7 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
     if not 0.0 < scale < math.inf:
         raise DomainError("scale must be positive and finite")
     core = _density_core(motif)
-    s = hom_sum(core, x, engine=engine)
-    return s / (scale ** core.edge_count * float(n) ** core.vertices)
+    return _normalize(hom_sum(core, x, engine=engine), core, n, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +699,7 @@ def hom_density_delta(motif, table, i, j, scale=1.0):
     x = _as_matrix(table)
     n = x.shape[0]
     core = _density_core(motif)
-    return hom_sum_delta(core, x, i, j) / (
-        scale ** core.edge_count * float(n) ** core.vertices)
+    return _normalize(hom_sum_delta(core, x, i, j), core, n, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +782,7 @@ def hom_density_grad(motif, table, scale=1.0):
     x = _as_matrix(table)
     n = x.shape[0]
     core = _density_core(motif)
-    return hom_sum_grad(core, x) / (
-        scale ** core.edge_count * float(n) ** core.vertices)
+    return _normalize(hom_sum_grad(core, x), core, n, scale)
 
 
 # ---------------------------------------------------------------------------

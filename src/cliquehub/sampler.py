@@ -9,6 +9,8 @@ hub rows, then greedily densifies the high-degree remainder into an
 almost-clique, and reports edge-count and spectral certificates.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, InternalError
 from .hamiltonian import HamiltonianSpec, h_value, psi_solve, validate_hamiltonian
-from .motifs import WeightTable, _as_matrix, hom_density, hom_density_delta, rate, validate_family
+from .motifs import _as_matrix, hom_density, hom_density_delta, rate, validate_family
 from .nmf import CliqueHub, overlay_sizes
 
 CLAMP = 700.0
@@ -28,12 +30,11 @@ SAMPLE_MEMORY = 2 ** 29
 
 
 def _sample_bytes(n):
-    """Bytes a sample run holds at n vertices: 92 per pair for the pair list
-    (a list slot, a 2-tuple and one int), and 8 n^2 for each of seven
+    """Bytes a sample run holds at n vertices: 8 n^2 for each of seven
     working n x n float64 arrays (chain state, start draw, detection copies,
     overlay, norm workspace) plus the final graph.  One chain is alive at a
     time, so the chain count does not enter."""
-    return 92 * (n * (n - 1) // 2) + 8 * n * n * 8
+    return 8 * n * n * 8
 
 
 def _sigmoid(z):
@@ -61,10 +62,6 @@ def _live_spec(spec):
     if not report.ok:
         raise DomainError("; ".join(m for _, m in report.errors))
     return live, tuple(live.family), report.delta
-
-
-def pair_list(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def chain_rng(seed, chain):
@@ -96,10 +93,12 @@ class ErgmChain:
                 raise DomainError("adjacency must be binary")
         np.fill_diagonal(adj, 0.0)
         self.adj = adj
-        self.pairs = pair_list(n)
+        # pair k is the k-th of combinations(range(n), 2), row i from offsets[i]
+        self.pair_count = self.n * (self.n - 1) // 2
+        self.offsets = [i * (2 * self.n - i - 1) // 2 for i in range(self.n)]
         self.t = self._fresh_t()
-        self._pending = None
         self.steps = 0
+        self.flips = 0
         self.sweeps = 0
         self.max_drift = 0.0
 
@@ -108,50 +107,54 @@ class ErgmChain:
                          for f in self.family])
 
     def _deltas(self, i, j):
-        """Density changes of toggling {i, j}, kept for set_edge to reuse."""
-        deltas = np.array([hom_density_delta(f, self.adj, i, j, scale=self.p)
-                           for f in self.family])
-        self._pending = (i, j, deltas)
-        return deltas
+        """Density changes of toggling {i, j}, whatever the pair's value."""
+        return np.array([hom_density_delta(f, self.adj, i, j, scale=self.p)
+                         for f in self.family])
 
-    def edge_probability(self, i, j):
-        """Heat-bath probability that pair {i, j} is set to 1."""
+    def _heat_bath(self, i, j):
+        """(deltas, q): the pair's density changes, or None when nothing is
+        tilted, and the heat-bath probability that the pair is set to 1."""
         if self.spec is None:
-            return self.p
+            return None, self.p
         deltas = self._deltas(i, j)
         present = self.adj[i, j] != 0.0
         t_hi = self.t if present else self.t + deltas
         t_lo = self.t - deltas if present else self.t
         dh = float(h_value(self.spec, t_hi) - h_value(self.spec, t_lo))
         z = min(CLAMP, max(-CLAMP, self.r * dh)) + self.logit
-        return _sigmoid(z)
+        return deltas, _sigmoid(z)
 
-    def set_edge(self, i, j, value):
+    def _set(self, i, j, value, deltas):
+        """Set pair {i, j} to 1 if value else 0; deltas are its density
+        changes, or None to compute them if the pair flips."""
         value = 1.0 if value else 0.0
         if self.adj[i, j] == value:
             return
         if self.family:
-            # a pair's deltas do not depend on the pair itself, and every
-            # flip of another pair computes that pair's deltas first, so the
-            # pending ones are current whenever their pair matches
-            pending = self._pending
-            if pending is not None and pending[:2] == (i, j):
-                deltas = pending[2]
-            else:
+            if deltas is None:
                 deltas = self._deltas(i, j)
             self.t = self.t + deltas if value else self.t - deltas
         self.adj[i, j] = value
         self.adj[j, i] = value
+        self.flips += 1
+
+    def edge_probability(self, i, j):
+        """Heat-bath probability that pair {i, j} is set to 1."""
+        return self._heat_bath(i, j)[1]
+
+    def set_edge(self, i, j, value):
+        self._set(i, j, value, None)
 
     def step(self, rng):
-        k = int(rng.integers(len(self.pairs)))
-        i, j = self.pairs[k]
-        q = self.edge_probability(i, j)
-        self.set_edge(i, j, rng.random() < q)
+        k = int(rng.integers(self.pair_count))
+        i = bisect.bisect_right(self.offsets, k) - 1
+        j = k - self.offsets[i] + i + 1
+        deltas, q = self._heat_bath(i, j)
+        self._set(i, j, rng.random() < q, deltas)
         self.steps += 1
 
     def sweep(self, rng):
-        for _ in range(len(self.pairs)):
+        for _ in range(self.pair_count):
             self.step(rng)
         self.sweeps += 1
         if self.sweeps % RESYNC_SWEEPS == 0:
@@ -168,9 +171,6 @@ class ErgmChain:
 
     def edge_count(self):
         return int(round(self.adj.sum() / 2.0))
-
-    def table(self):
-        return WeightTable(self.adj.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def _state_tables(n, p, spec):
     and r the tilt rate, or h None and r 0 when the tilt is trivial.
     """
     live, family, delta = _live_spec(spec)
-    pairs = pair_list(n)
+    pairs = list(itertools.combinations(range(n), 2))
     states = 1 << len(pairs)
     t_table = np.zeros((states, len(family)))
     if live is None:
@@ -213,7 +213,7 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
 
     Returns the log normalizing constant relative to ER(p), the partition
     function on the absolute scale, and the exact distribution over states
-    (bit k of the state index is pair k of pair_list(n)).
+    (bit k of the state index is pair k of combinations(range(n), 2)).
     """
     # imported here to keep scipy off the start-up path of the CLI
     from scipy.special import logsumexp

@@ -136,6 +136,21 @@ def test_sample_size_cap_exit_2(capsys, monkeypatch):
     assert err.startswith("error:capability:") and err.count("\n") == 1
 
 
+def test_sample_cap_admits_2896(capsys, monkeypatch):
+    # with no pair list, eight n x n arrays at n=2896 fit 512 MiB; the run
+    # passes the cap and reaches the chain set-up
+    def stop(*args, **kwargs):
+        raise DomainError("past the cap")
+
+    monkeypatch.setattr(sampler, "ErgmChain", stop)
+    monkeypatch.setattr(sampler, "chain_rng", stop)
+    code, out, err = run_cli(capsys, ["sample", "--n", "2896", "--p", "0.1",
+                                      "--sweeps", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error:domain:past the cap\n"
+
+
 def test_sample_cap_ignores_the_chain_count(capsys, monkeypatch):
     # one chain is alive at a time, so four chains at n=2048 pass the cap
     # and reach the first chain's draw
@@ -381,6 +396,34 @@ def test_sample_emits_and_manifest(capsys, tmp_path):
     assert manifest["seed"] == 9
 
 
+PINNED_FAMILY = ["K12", "C3", "C4", {"name": "P4", "vertices": 4,
+                                     "edges": [[0, 1], [1, 2], [2, 3]]}]
+
+
+def test_sample_outputs_match_the_pin(capsys, tmp_path):
+    # the family runs the star, triangle, long-cycle and generic toggle
+    # deltas; the digests pin the chain's draws, flips and cached densities
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"family": PINNED_FAMILY, "terms": [
+        {"k": k, "beta": beta, "shift": 1.0, "gamma": gamma}
+        for k, (beta, gamma) in enumerate(
+            [(0.05, 0.6), (0.04, 0.4), (0.03, 0.3), (0.02, 0.5)])]}))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, [
+        "sample", "--n", "12", "--p", "0.3", "--hamiltonian", str(ham),
+        "--sweeps", "6", "--thin", "2", "--chains", "2", "--seed", "5",
+        "--out", str(out_dir), "--emit-traj", "traj.csv",
+        "--emit-graph", "final.bin"])
+    assert code == 0, err
+    digest = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+              for name in ("traj.csv", "final.bin")}
+    assert digest == {
+        "traj.csv": "eb764c41216765c61f9097bcd3f2566c"
+                    "f8fa9a529d1c75173d53b70e5b7e9f3e",
+        "final.bin": "9c7e8fabf655d989aac66a2ce54204b3"
+                     "c676b9baa07b5345a9af66981d100781"}
+
+
 def test_sample_reproducible(capsys, tmp_path):
     ham = triangle_file(tmp_path)
     outs = []
@@ -600,6 +643,71 @@ def test_out_of_range_model_input_is_a_domain_error(capsys, argv, reason):
     assert out == ""
     assert err.startswith("error:domain:") and err.count("\n") == 1, err
     assert reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-density", "--motif", "C3", "--table", "{table}", "--scale",
+     "1e-300"],
+    ["nmf", "--n", "5", "--p", "1e-300", "--hamiltonian", "{ham}"],
+    ["sample", "--n", "5", "--p", "1e-300", "--sweeps", "1",
+     "--hamiltonian", "{ham}"],
+    ["phi-np", "--n", "5", "--p", "1e-300", "--motifs", "C3", "--s", "1"],
+    ["hom-density", "--motif", "C3", "--table", "{table}", "--scale",
+     "1e-105"],
+], ids=["hom-density", "nmf", "sample", "phi-np", "hom-density-overflow"])
+def test_density_past_the_float_range_is_a_domain_error(capsys, tmp_path,
+                                                        argv):
+    # scale^e n^v underflows to 0 at 1e-300; at 1e-105 it is subnormal and
+    # the triangle density of a complete graph overflows
+    table = tmp_path / "full.json"
+    table.write_text(json.dumps({"n": 6, "triangle": [1.0] * 15}))
+    fill = {"{table}": str(table), "{ham}": triangle_file(tmp_path)}
+    code, out, err = run_cli(capsys, [fill.get(a, a) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-density", "--table", "{table}", "--motif"],
+    ["planar-phi", "--s", "0.5", "--motifs"],
+    ["edge-f", "--gamma", "0.3", "--beta", "1.0", "--motif"],
+], ids=["hom-density", "planar-phi", "edge-f"])
+@pytest.mark.parametrize("vertices, edges", [
+    (3, [[0, 1.5], [1, 2]]),
+    (3.9, [[0, 1], [1, 2]]),
+], ids=["float-endpoint", "float-vertices"])
+def test_non_integer_motif_document_is_a_domain_error(capsys, tmp_path, argv,
+                                                      vertices, edges):
+    fill = {"{table}": table_file(tmp_path, 5)}
+    argv = [fill.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, argv + [
+        motif_file(tmp_path, "bad", vertices, edges)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:") and err.count("\n") == 1, err
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("k", [0.7, True, "0"])
+def test_non_integer_term_index_is_a_domain_error(capsys, tmp_path, k):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"family": ["C3", "K12"], "terms": [
+        {"k": k, "beta": 1.0, "gamma": 0.3}]}))
+    code, out, err = run_cli(capsys, ["psi", "--hamiltonian", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == ("error:domain:bad hamiltonian json: term index k must "
+                   "be an integer\n")
+
+
+def test_edge_f_overflow_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, ["edge-f", "--motif", "K12", "--gamma",
+                                      "0.5", "--beta", "1e308"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:") and err.count("\n") == 1, err
+    assert "not finite" in err
 
 
 def test_planar_phi_region_emission(capsys, tmp_path):

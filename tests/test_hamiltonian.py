@@ -68,6 +68,20 @@ def test_h_value_shape_and_json():
         hamiltonian_from_json_dict({"family": ["C3"]})
 
 
+def test_json_round_trip_keeps_an_inline_motif():
+    # a family motif that no built-in name resolves to is written as its
+    # document, so reading the dict back gives the same family
+    tri = {"name": "tri", "vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+    spec = hamiltonian_from_json_dict(
+        {"family": [tri, "K12"], "terms": [{"k": 0, "beta": 1.0,
+                                            "gamma": 0.3}]})
+    doc = hamiltonian_to_json_dict(spec)
+    assert doc["family"] == [tri, "K12"]
+    again = hamiltonian_from_json_dict(json.loads(json.dumps(doc)))
+    assert again.family == spec.family
+    assert again.terms == spec.terms
+
+
 def test_psi_triangle_hub_phase():
     # raw exponent 1/3 is the triangle model at literature-scale gamma 1
     spec = HamiltonianSpec(("C3",), (HamiltonianTerm(0, 1.0, 1.0, 1 / 3),))

@@ -14,6 +14,7 @@ from cliquehub.motifs import (
     er_table,
     hom_density,
     hom_density_delta,
+    hom_density_grad,
     hom_sum,
     hom_sum_delta,
     hom_sum_exhaustive,
@@ -86,6 +87,12 @@ def test_motif_validation():
         Motif("oob", 2, ((0, 2),))
     with pytest.raises(DomainError):
         Motif("dup", 3, ((0, 1), (1, 0)))
+    # motif documents must use integers; bools are not vertex counts
+    for vertices, edges in ((3, [[0, 1.5], [1, 2]]), (3, [[0, True], [1, 2]]),
+                            (3.9, [[0, 1], [1, 2]]), (True, [])):
+        with pytest.raises(DomainError, match="integer"):
+            resolve_motif({"name": "bad", "vertices": vertices,
+                           "edges": edges})
 
 
 def test_motif_json_round_trip():
@@ -270,6 +277,19 @@ def test_hom_density_scale():
     s = 0.3
     direct = hom_sum(m, table) / (0.3 ** 3 * 10 ** 3)
     assert hom_density(m, table, scale=s) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-105])
+def test_density_below_the_float_range_is_a_domain_error(scale):
+    # at 1e-300 the normalizer scale^3 n^3 underflows to 0; at 1e-105 it is
+    # subnormal and the triangle density overflows
+    table = random_table(10, 0.5, seed=21)
+    m = motif_from_name("C3")
+    for density in (lambda: hom_density(m, table, scale=scale),
+                    lambda: hom_density_delta(m, table, 0, 1, scale=scale),
+                    lambda: hom_density_grad(m, table, scale=scale)):
+        with pytest.raises(DomainError):
+            density()
 
 
 def test_hom_generic_caps():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -137,12 +138,55 @@ def test_cached_density_drift_stays_small():
         chain.step(rng)
     assert chain.resync() <= 1e-8
     assert chain.max_drift <= 1e-8
-    # deltas left by edge_probability go stale once another edge flips
+    # set_edge keeps the cached densities current after a probability query
+    # and flips of the pairs next to it
     chain.edge_probability(0, 1)
     chain.set_edge(1, 2, chain.adj[1, 2] == 0.0)
     chain.set_edge(0, 2, chain.adj[0, 2] == 0.0)
     chain.set_edge(0, 1, chain.adj[0, 1] == 0.0)
     assert np.allclose(chain.t, chain._fresh_t(), rtol=0.0, atol=1e-12)
+
+
+class StubGenerator:
+    """Hands the chain a fixed pair index and a fixed uniform."""
+
+    def __init__(self, k, u):
+        self.k, self.u = k, u
+
+    def integers(self, high):
+        assert 0 <= self.k < high
+        return self.k
+
+    def random(self):
+        return self.u
+
+
+def test_step_toggles_pair_k_of_combinations():
+    # draw k picks the k-th pair of combinations(range(n), 2); a uniform of
+    # 0 always sets it and 1 always clears it, so the pair flips both ways
+    for n in range(2, 10):
+        pairs = list(itertools.combinations(range(n), 2))
+        chain = ErgmChain(n, 0.4)
+        for k, (i, j) in enumerate(pairs):
+            for u, want in ((0.0, 1.0), (1.0, 0.0)):
+                before = chain.adj.copy()
+                chain.step(StubGenerator(k, u))
+                changed = np.argwhere(chain.adj != before)
+                assert changed.tolist() == [[i, j], [j, i]], (n, k)
+                assert chain.adj[i, j] == want
+        assert chain.steps == chain.flips == 2 * len(pairs)
+
+
+def test_flips_count_the_adjacency_changes():
+    chain = ErgmChain(10, 0.3, spec=triangle_spec(1.0))
+    rng = chain_rng(2, 0)
+    changes = 0
+    for _ in range(400):
+        before = chain.adj.copy()
+        chain.step(rng)
+        changes += int(np.any(chain.adj != before))
+    assert chain.steps == 400
+    assert 0 < chain.flips == changes < 400
 
 
 def test_chain_without_hamiltonian_matches_er_density():
