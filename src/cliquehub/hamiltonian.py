@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import CapabilityError, DegeneracyError, DomainError
 from .motifs import (_is_int, indep_poly, load_json, motif_from_name,
                      resolve_motif, validate_family)
 from .planar import PlanarProgram
@@ -94,13 +94,23 @@ def validate_hamiltonian(spec):
     return ValidationReport(not errors, delta, errors, warnings)
 
 
-def h_value(spec, x):
-    """h(x) for a density vector x (vectorized over trailing shapes)."""
-    x = np.asarray(x, dtype=float)
+def _h_terms(spec, x, maximum):
     out = 0.0
     for t in spec.terms:
-        out = out + t.beta * np.maximum(x[t.k] - t.shift, 0.0) ** t.gamma
+        out = out + t.beta * maximum(x[t.k] - t.shift, 0.0) ** t.gamma
     return out
+
+
+def h_value(spec, x):
+    """h(x) for a density vector x (vectorized over trailing shapes)."""
+    return _h_terms(spec, np.asarray(x, dtype=float), np.maximum)
+
+
+def h_float(spec, x):
+    """h(x) for a sequence of Python floats, as a Python float.  It makes
+    h_value's operations in the same order, and Python's ** and numpy's
+    scalar ** both call the C library's pow, so the bits are the same."""
+    return _h_terms(spec, x, max)
 
 
 def h_at_one(spec):
@@ -112,7 +122,7 @@ def _motif_json(motif):
     try:
         if motif_from_name(motif.name) == motif:
             return motif.name
-    except DomainError:
+    except (CapabilityError, DomainError):
         pass
     return motif.to_json_dict()
 

@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -27,6 +28,11 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 
 LETTERS = "abcdefgh"
+# the largest cycle length, leaf count or clique size a built-in name may
+# ask for; a name alone would otherwise build any number of edge tuples
+NAME_MAX_SIZE = 64
+# C<l>, K1<k>, K<r>: K1 is tried first, so K1<k> is always a star
+_NAME = re.compile(r"(C|K1|K)([0-9]+)")
 GENERIC_MAX_MAPS = 1e10
 EXHAUSTIVE_MAX_MAPS = 1e8
 
@@ -139,14 +145,30 @@ def clique_motif(size):
 
 
 def motif_from_name(name):
-    """Resolve built-in names: C<l> cycles, K1<k> stars, K<r> cliques."""
-    if name.startswith("C") and name[1:].isdigit():
-        return cycle_motif(int(name[1:]))
-    if name.startswith("K1") and len(name) > 2 and name[2:].isdigit():
-        return star_motif(int(name[2:]))
-    if name.startswith("K") and name[1:].isdigit():
-        return clique_motif(int(name[1:]))
-    raise DomainError("unknown motif name %r" % name)
+    """Resolve built-in names: C<l> cycles, K1<k> stars, K<r> cliques.
+
+    K1<k> always names the k-leaf star (K15 has five leaves), so cliques of
+    10 or more vertices have no built-in name.  A size over NAME_MAX_SIZE is
+    a CapabilityError, raised before any edge is built.
+    """
+    match = _NAME.fullmatch(name)
+    if match is None:
+        raise DomainError("unknown motif name %r" % name)
+    kind, digits = match.groups()
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(NAME_MAX_SIZE)) or int(digits) > NAME_MAX_SIZE:
+        raise CapabilityError("built-in motif names go up to size %d"
+                              % NAME_MAX_SIZE)
+    size = int(digits)
+    if kind == "C":
+        return cycle_motif(size)
+    if kind == "K":
+        return clique_motif(size)
+    if size < 1:
+        raise DomainError("motif name %r: K1<k> names the k-leaf star and "
+                          "needs k >= 1; cliques of 10 or more vertices have "
+                          "no built-in name" % name)
+    return star_motif(size)
 
 
 def load_json(path, what):
@@ -167,12 +189,14 @@ def resolve_motif(spec):
         return Motif.from_json_dict(spec)
     try:
         return motif_from_name(spec)
-    except DomainError:
-        pass
+    except DomainError as err:
+        # a built-in pattern keeps its own message when no file has the name
+        unresolved = (err if _NAME.fullmatch(spec)
+                      else DomainError("cannot resolve motif %r" % spec))
     try:
         return Motif.from_json_dict(load_json(spec, "motif"))
     except OSError:
-        raise DomainError("cannot resolve motif %r" % spec)
+        raise unresolved from None
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +622,30 @@ def _density_core(motif):
     return motif.plan.core or Motif(motif.name, 1, ())
 
 
-def _normalize(total, core, n, scale):
-    """A hom sum, toggle delta or gradient of the core divided by
-    scale^e n^v; an underflowed divisor or a non-finite result is a
+def _density_divisor(core, n, scale):
+    """scale^e n^v for the core; a divisor that underflows to 0 is a
     DomainError."""
     norm = scale ** core.edge_count * float(n) ** core.vertices
     if norm == 0.0:
         raise DomainError("density normalizer underflows at scale %g" % scale)
+    return norm
+
+
+def _not_finite(core, scale):
+    return DomainError("density of %s at scale %g is not finite"
+                       % (core.name, scale))
+
+
+def _normalize(total, core, n, scale):
+    """A hom sum, toggle delta or gradient of the core divided by
+    scale^e n^v; an underflowed divisor or a non-finite result is a
+    DomainError."""
+    norm = _density_divisor(core, n, scale)
     # the largest magnitude, divided as a Python float, which never warns
     peak = (abs(total) if isinstance(total, float)
             else float(np.abs(total).max(initial=0.0)))
     if not math.isfinite(peak / norm):
-        raise DomainError("density of %s at scale %g is not finite"
-                          % (core.name, scale))
+        raise _not_finite(core, scale)
     return total / norm
 
 
@@ -628,6 +663,29 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
 
 # ---------------------------------------------------------------------------
 # toggle deltas: change in the homomorphism sum when edge {i,j} goes 0 -> 1
+
+
+def _star_delta(leaves, ri, rj):
+    """A star's gain when rows i and j, of weighted degrees ri and rj
+    without the pair, gain the edge: the maps centered at i or j that use
+    it.  Integer degrees give the exact integer."""
+    return ((ri + 1) ** leaves - ri ** leaves
+            + (rj + 1) ** leaves - rj ** leaves)
+
+
+def _triangle_delta(xi, xj):
+    """tr((B+E)^3) - tr(B^3) = 6 (B^2)_ij from rows i and j; the zero
+    diagonal makes the uncleared rows give the same dot product."""
+    return 6.0 * float(xi.dot(xj))
+
+
+def _clique_delta(size, x, i, j):
+    """K_r's gain for binary rows i and j: r(r-1) ways to pin an ordered
+    motif edge on (i, j), times a K_{r-2} count on their common
+    neighbors."""
+    common = np.flatnonzero(x[i] * x[j])
+    return size * (size - 1) * hom_sum(clique_motif(size - 2),
+                                       x[np.ix_(common, common)])
 
 
 def _cycle_delta(ell, x, i, j):
@@ -670,22 +728,13 @@ def hom_sum_delta(motif, table, i, j):
     if kind == "empty":
         return 0.0
     if kind == "star":
-        # a star gains the maps centered at i or j that use the new edge
-        ri = x[i].sum() - x[i, j]
-        rj = x[j].sum() - x[i, j]
-        d = (ri + 1) ** size - ri ** size + (rj + 1) ** size - rj ** size
+        d = _star_delta(size, x[i].sum() - x[i, j], x[j].sum() - x[i, j])
     elif kind == "cycle" and size == 3:
-        # tr((B+E)^3) - tr(B^3) = 6 (B^2)_ij; the zero diagonal makes the
-        # uncleared rows give the same dot product
-        d = 6.0 * (x[i] @ x[j])
+        d = _triangle_delta(x[i], x[j])
     elif kind == "cycle":
         d = _cycle_delta(size, x, i, j)
     elif kind == "clique" and _is_binary(x[i]) and _is_binary(x[j]):
-        # r(r-1) ways to pin an ordered motif edge on (i, j); with binary
-        # rows i and j the rest is a K_{r-2} count on their common neighbors
-        common = np.flatnonzero(x[i] * x[j])
-        d = size * (size - 1) * hom_sum(clique_motif(size - 2),
-                                        x[np.ix_(common, common)])
+        d = _clique_delta(size, x, i, j)
     else:
         b0 = x.copy()
         b0[i, j] = b0[j, i] = 0.0

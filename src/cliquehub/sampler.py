@@ -17,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InternalError
-from .hamiltonian import HamiltonianSpec, h_value, psi_solve, validate_hamiltonian
-from .motifs import _as_matrix, hom_density, hom_density_delta, rate, validate_family
+from .hamiltonian import (HamiltonianSpec, h_float, h_value, psi_solve,
+                          validate_hamiltonian)
+from .motifs import (_as_matrix, _clique_delta, _cycle_delta, _density_core,
+                     _density_divisor, _not_finite, _star_delta,
+                     _triangle_delta, hom_density, hom_density_delta, rate,
+                     validate_family)
 from .nmf import CliqueHub, overlay_sizes
 
 CLAMP = 700.0
@@ -71,7 +75,13 @@ def chain_rng(seed, chain):
 
 
 class ErgmChain:
-    """Mutable single-chain state: adjacency, cached densities, counters."""
+    """Mutable single-chain state: adjacency, degrees, cached densities,
+    counters.
+
+    The table is binary, so the degree vector deg is exact in floats.  Each
+    motif of the family gets a toggle rule compiled from its plan when the
+    chain is built; the rules and h run on Python floats.
+    """
 
     def __init__(self, n, p, spec=None, adjacency=None):
         if n < 2:
@@ -93,34 +103,71 @@ class ErgmChain:
                 raise DomainError("adjacency must be binary")
         np.fill_diagonal(adj, 0.0)
         self.adj = adj
+        self.deg = adj.sum(axis=1).tolist()
         # pair k is the k-th of combinations(range(n), 2), row i from offsets[i]
         self.pair_count = self.n * (self.n - 1) // 2
         self.offsets = [i * (2 * self.n - i - 1) // 2 for i in range(self.n)]
-        self.t = self._fresh_t()
+        self._t = self._fresh_t().tolist()
+        self._rules = [self._toggle_rule(f) for f in self.family]
         self.steps = 0
         self.flips = 0
         self.sweeps = 0
         self.max_drift = 0.0
 
+    @property
+    def t(self):
+        """The cached density vector of the family."""
+        return np.array(self._t)
+
     def _fresh_t(self):
         return np.array([hom_density(f, self.adj, scale=self.p)
                          for f in self.family])
 
-    def _deltas(self, i, j):
-        """Density changes of toggling {i, j}, whatever the pair's value."""
-        return np.array([hom_density_delta(f, self.adj, i, j, scale=self.p)
-                         for f in self.family])
+    def _toggle_rule(self, motif):
+        """rule(i, j, a): the motif's density with pair {i, j} present minus
+        with it absent, given the pair's current value a (0.0 or 1.0); the
+        same value as hom_density_delta on the chain's table."""
+        adj, deg, p = self.adj, self.deg, self.p
+        core = _density_core(motif)
+        kind, size = core.plan.kind, core.plan.size
+        if kind == "star":
+            def change(i, j, a):
+                return _star_delta(size, deg[i] - a, deg[j] - a)
+        elif kind == "cycle" and size == 3:
+            rows = list(adj)  # views, so they follow the flips
+
+            def change(i, j, a):
+                return _triangle_delta(rows[i], rows[j])
+        elif kind == "cycle":
+            def change(i, j, a):
+                return _cycle_delta(size, adj, i, j)
+        elif kind == "clique":
+            def change(i, j, a):
+                return _clique_delta(size, adj, i, j)
+        else:
+            return lambda i, j, a: hom_density_delta(motif, adj, i, j, scale=p)
+        norm = _density_divisor(core, self.n, p)
+
+        def rule(i, j, a):
+            d = change(i, j, a) / norm
+            if not math.isfinite(d):
+                raise _not_finite(core, p)
+            return d
+        return rule
 
     def _heat_bath(self, i, j):
         """(deltas, q): the pair's density changes, or None when nothing is
         tilted, and the heat-bath probability that the pair is set to 1."""
         if self.spec is None:
             return None, self.p
-        deltas = self._deltas(i, j)
-        present = self.adj[i, j] != 0.0
-        t_hi = self.t if present else self.t + deltas
-        t_lo = self.t - deltas if present else self.t
-        dh = float(h_value(self.spec, t_hi) - h_value(self.spec, t_lo))
+        a = self.adj.item(i, j)
+        deltas = [rule(i, j, a) for rule in self._rules]
+        t = self._t
+        if a:
+            t_hi, t_lo = t, [x - d for x, d in zip(t, deltas)]
+        else:
+            t_hi, t_lo = [x + d for x, d in zip(t, deltas)], t
+        dh = h_float(self.spec, t_hi) - h_float(self.spec, t_lo)
         z = min(CLAMP, max(-CLAMP, self.r * dh)) + self.logit
         return deltas, _sigmoid(z)
 
@@ -128,14 +175,18 @@ class ErgmChain:
         """Set pair {i, j} to 1 if value else 0; deltas are its density
         changes, or None to compute them if the pair flips."""
         value = 1.0 if value else 0.0
-        if self.adj[i, j] == value:
+        a = self.adj.item(i, j)
+        if a == value:
             return
-        if self.family:
+        if self._rules:
             if deltas is None:
-                deltas = self._deltas(i, j)
-            self.t = self.t + deltas if value else self.t - deltas
+                deltas = [rule(i, j, a) for rule in self._rules]
+            self._t = ([x + d for x, d in zip(self._t, deltas)] if value
+                       else [x - d for x, d in zip(self._t, deltas)])
         self.adj[i, j] = value
         self.adj[j, i] = value
+        self.deg[i] += value - a
+        self.deg[j] += value - a
         self.flips += 1
 
     def edge_probability(self, i, j):
@@ -161,12 +212,15 @@ class ErgmChain:
             self.resync()
 
     def resync(self):
-        """Replace cached densities with a fresh computation; track drift."""
+        """Replace cached densities with a fresh computation; track drift.
+        The degree vector must equal the table's row sums exactly."""
+        if self.deg != self.adj.sum(axis=1).tolist():
+            raise InternalError("degree vector disagrees with the table")
         fresh = self._fresh_t()
         if len(fresh):
             drift = float(np.max(np.abs(fresh - self.t) / (1.0 + np.abs(fresh))))
             self.max_drift = max(self.max_drift, drift)
-        self.t = fresh
+        self._t = fresh.tolist()
         return self.max_drift
 
     def edge_count(self):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -585,6 +586,36 @@ def test_exhaustive_engine_refuses_a_ninth_vertex(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:capability:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-density", "--table", "{table}", "--motif", "K5000"],
+    ["hom-density", "--table", "{table}", "--motif", "C100000000"],
+    ["psi", "--hamiltonian", "{ham}"],
+], ids=["K5000", "C100000000", "family-entry"])
+def test_oversized_motif_name_is_a_capability_error(capsys, tmp_path, argv):
+    # the size in the name is checked before any edge is built
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"family": ["C100000000"], "terms": [
+        {"k": 0, "beta": 1.0, "gamma": 0.3}]}))
+    fill = {"{table}": table_file(tmp_path, 5), "{ham}": str(ham)}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [fill.get(a, a) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:capability:") and err.count("\n") == 1, err
+
+
+def test_k10_names_no_motif(capsys, tmp_path):
+    # K1<k> is always the k-leaf star, so K10 asks for a star without leaves
+    code, out, err = run_cli(capsys, ["hom-density", "--table",
+                                      table_file(tmp_path, 5), "--motif",
+                                      "K10"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:domain:") and err.count("\n") == 1, err
+    assert "k-leaf star" in err
 
 
 @pytest.mark.parametrize("engine", ["auto", "generic", "exhaustive"])

@@ -11,6 +11,7 @@ from cliquehub.hamiltonian import (
     HamiltonianSpec,
     HamiltonianTerm,
     edge_f_solve,
+    h_float,
     h_value,
     hamiltonian_from_json_dict,
     hamiltonian_to_json_dict,
@@ -80,6 +81,25 @@ def test_json_round_trip_keeps_an_inline_motif():
     again = hamiltonian_from_json_dict(json.loads(json.dumps(doc)))
     assert again.family == spec.family
     assert again.terms == spec.terms
+
+
+def test_json_round_trip_keeps_a_motif_named_past_the_cap():
+    # a file motif may carry a name whose built-in size is over the cap; it
+    # is written as its document
+    doc = {"name": "C100000000", "vertices": 3, "edges": [[0, 1], [1, 2]]}
+    spec = hamiltonian_from_json_dict(
+        {"family": [doc], "terms": [{"k": 0, "beta": 1.0, "gamma": 0.3}]})
+    assert hamiltonian_to_json_dict(spec)["family"] == [doc]
+
+
+def test_h_float_matches_h_value_bit_for_bit():
+    spec = HamiltonianSpec(("K12", "C3", "C4"),
+                           (HamiltonianTerm(0, 0.7, 1.0, 0.6),
+                            HamiltonianTerm(1, 1.3, 0.9, 0.4),
+                            HamiltonianTerm(2, 0.2, 1.2, 0.3)))
+    rng = np.random.default_rng(3)
+    for x in rng.random((2000, 3)) * rng.choice([0.5, 3.0, 1e3], (2000, 1)):
+        assert h_float(spec, x.tolist()) == float(h_value(spec, x))
 
 
 def test_psi_triangle_hub_phase():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliquehub.errors import CapabilityError, DomainError
 from cliquehub.motifs import (
+    NAME_MAX_SIZE,
     Motif,
     WeightTable,
     clique_motif,
@@ -78,6 +79,25 @@ def test_motif_name_errors():
         motif_from_name("K1")
     with pytest.raises(DomainError):
         motif_from_name("9")
+
+
+def test_motif_names_are_capped_before_anything_is_built():
+    assert motif_from_name("C%d" % NAME_MAX_SIZE).vertices == NAME_MAX_SIZE
+    assert motif_from_name("K%d" % NAME_MAX_SIZE).vertices == NAME_MAX_SIZE
+    assert motif_from_name("K1%d" % NAME_MAX_SIZE).edge_count == NAME_MAX_SIZE
+    for name in ("C%d" % (NAME_MAX_SIZE + 1), "K%d" % (NAME_MAX_SIZE + 1),
+                 "K1%d" % (NAME_MAX_SIZE + 1), "K5000", "C100000000",
+                 "C" + "9" * 5000):
+        with pytest.raises(CapabilityError):
+            motif_from_name(name)
+    # K1<k> is always a star: K15 has five leaves and K10 none
+    assert motif_from_name("K15").plan.kind == "star"
+    for name in ("K10", "K100", "K1000"):
+        with pytest.raises(DomainError, match="k-leaf star"):
+            resolve_motif(name)
+    # only ASCII digits spell a size
+    with pytest.raises(DomainError, match="unknown motif name"):
+        motif_from_name("C\u00b3")
 
 
 def test_motif_validation():

@@ -5,14 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliquehub.errors import DomainError
-from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm
-from cliquehub.motifs import hom_density, motif_from_name
+from cliquehub.errors import DomainError, InternalError
+from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm, h_value
+from cliquehub.motifs import hom_density, hom_density_delta, motif_from_name
 from cliquehub.nmf import CliqueHub
 from cliquehub.sampler import (
+    CLAMP,
     ErgmChain,
     _probability_table,
     _sample_bytes,
+    _sigmoid,
     almost_certificate,
     chain_rng,
     detect_structure,
@@ -145,6 +147,78 @@ def test_cached_density_drift_stays_small():
     chain.set_edge(0, 2, chain.adj[0, 2] == 0.0)
     chain.set_edge(0, 1, chain.adj[0, 1] == 0.0)
     assert np.allclose(chain.t, chain._fresh_t(), rtol=0.0, atol=1e-12)
+
+
+# one motif per toggle rule: two stars, the triangle, a long cycle, a
+# clique and a generic motif (the path on four vertices)
+RULE_FAMILY = ("K12", "K13", "C3", "C4", "K4",
+               {"name": "P4", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
+
+
+@pytest.mark.parametrize("n, p, seed, steps", [(12, 0.3, 0, 3000),
+                                               (30, 0.15, 1, 1500)])
+def test_toggle_rules_match_hom_density_delta(n, p, seed, steps):
+    # every compiled rule against hom_density_delta at every step, and the
+    # heat-bath probability and cached densities against the same chain
+    # kept with numpy arrays and h_value, bit for bit
+    spec = HamiltonianSpec(RULE_FAMILY, tuple(
+        HamiltonianTerm(k, 0.05, 1.0, 0.3) for k in range(len(RULE_FAMILY))))
+    family = spec.family
+    chain = ErgmChain(n, p, spec, adjacency=er_graph(n, p, seed))
+    assert len(chain._rules) == len(family)
+    t_ref = chain._fresh_t()
+    draws = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(steps):
+        k, u = int(draws.integers(len(pairs))), float(draws.random())
+        i, j = pairs[k]
+        a = float(chain.adj[i, j])
+        want = np.array([hom_density_delta(f, chain.adj, i, j, scale=p)
+                         for f in family])
+        got = [rule(i, j, a) for rule in chain._rules]
+        assert got == want.tolist(), (i, j)
+        t_hi = t_ref if a else t_ref + want
+        t_lo = t_ref - want if a else t_ref
+        dh = float(h_value(chain.spec, t_hi) - h_value(chain.spec, t_lo))
+        z = min(CLAMP, max(-CLAMP, chain.r * dh)) + chain.logit
+        assert chain.edge_probability(i, j) == _sigmoid(z)
+        flips = chain.flips
+        chain.step(StubGenerator(k, u))
+        if chain.flips > flips:
+            t_ref = t_ref - want if a else t_ref + want
+    assert 0 < chain.flips < chain.steps
+    assert np.array_equal(chain.t, t_ref)
+    assert chain.deg == chain.adj.sum(axis=1).tolist()
+
+
+def test_resync_checks_the_degree_vector():
+    chain = ErgmChain(10, 0.3, spec=triangle_spec(1.0),
+                      adjacency=er_graph(10, 0.3, 4))
+    rng = chain_rng(4, 0)
+    chain.sweep(rng)
+    chain.resync()
+    chain.deg[3] += 1.0
+    with pytest.raises(InternalError, match="degree"):
+        chain.resync()
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_toggle_delta_is_a_domain_error():
+    # at p = 1e-107 and n = 100 the triangle divisor p^3 n^3 is about
+    # 1e-315, subnormal but not 0: no triangle keeps t at 0, and one common
+    # neighbor makes the pair's density change overflow
+    n = 100
+    adj = np.zeros((n, n))
+    adj[0, 2] = adj[2, 0] = adj[1, 2] = adj[2, 1] = 1.0
+    chain = ErgmChain(n, 1e-107, spec=triangle_spec(1.0), adjacency=adj)
+    assert chain.t.tolist() == [0.0]
+    with pytest.raises(DomainError, match="not finite"):
+        chain.edge_probability(0, 1)
+    with pytest.raises(DomainError, match="not finite"):
+        chain.step(StubGenerator(0, 0.5))
+    assert chain.steps == 0 and chain.adj[0, 1] == 0.0
+    # a pair without a common neighbor still has a finite (zero) change
+    assert chain.edge_probability(0, 3) == pytest.approx(1e-107)
 
 
 class StubGenerator:
