@@ -109,8 +109,12 @@ def h_value(spec, x):
 def h_float(spec, x):
     """h(x) for a sequence of Python floats, as a Python float.  It makes
     h_value's operations in the same order, and Python's ** and numpy's
-    scalar ** both call the C library's pow, so the bits are the same."""
-    return _h_terms(spec, x, max)
+    scalar ** both call the C library's pow, so the bits are the same.
+    Where Python's ** overflows, h_value gives numpy's inf or nan."""
+    try:
+        return _h_terms(spec, x, max)
+    except OverflowError:
+        return float(h_value(spec, x))
 
 
 def h_at_one(spec):

@@ -623,11 +623,17 @@ def _density_core(motif):
 
 
 def _density_divisor(core, n, scale):
-    """scale^e n^v for the core; a divisor that underflows to 0 is a
-    DomainError."""
-    norm = scale ** core.edge_count * float(n) ** core.vertices
+    """scale^e n^v for the core; a divisor that underflows to 0 or
+    overflows is a DomainError."""
+    try:
+        norm = scale ** core.edge_count * float(n) ** core.vertices
+    except OverflowError:  # Python's ** raises where numpy's gives inf
+        norm = math.inf
     if norm == 0.0:
         raise DomainError("density normalizer underflows at scale %g" % scale)
+    if norm == math.inf:
+        raise DomainError("density normalizer overflows at scale %g and %d "
+                          "vertices" % (scale, n))
     return norm
 
 
@@ -679,15 +685,6 @@ def _triangle_delta(xi, xj):
     return 6.0 * float(xi.dot(xj))
 
 
-def _clique_delta(size, x, i, j):
-    """K_r's gain for binary rows i and j: r(r-1) ways to pin an ordered
-    motif edge on (i, j), times a K_{r-2} count on their common
-    neighbors."""
-    common = np.flatnonzero(x[i] * x[j])
-    return size * (size - 1) * hom_sum(clique_motif(size - 2),
-                                       x[np.ix_(common, common)])
-
-
 def _cycle_delta(ell, x, i, j):
     """tr((B+E)^ell) - tr(B^ell) with B = x minus edge ij, E the ij pair.
 
@@ -734,7 +731,11 @@ def hom_sum_delta(motif, table, i, j):
     elif kind == "cycle":
         d = _cycle_delta(size, x, i, j)
     elif kind == "clique" and _is_binary(x[i]) and _is_binary(x[j]):
-        d = _clique_delta(size, x, i, j)
+        # r(r-1) ways to pin an ordered motif edge on (i, j); with binary
+        # rows i and j the rest is a K_{r-2} count on their common neighbors
+        common = np.flatnonzero(x[i] * x[j])
+        d = size * (size - 1) * hom_sum(clique_motif(size - 2),
+                                        x[np.ix_(common, common)])
     else:
         b0 = x.copy()
         b0[i, j] = b0[j, i] = 0.0
@@ -749,6 +750,40 @@ def hom_density_delta(motif, table, i, j, scale=1.0):
     n = x.shape[0]
     core = _density_core(motif)
     return _normalize(hom_sum_delta(core, x, i, j), core, n, scale)
+
+
+def toggle_rule(motif, adj, deg, scale):
+    """Compile hom_density_delta(motif, adj, i, j, scale) for a binary
+    table adj whose row sums the caller keeps in the list deg.
+
+    rule(i, j, a), with a the pair's current value (0.0 or 1.0) and i, j a
+    valid pair, gives the same value.  Stars read deg and the triangle
+    takes one row dot product, both on Python floats and divided by the
+    divisor computed once; every other motif calls hom_density_delta.
+    """
+    core = _density_core(motif)
+    kind, size = core.plan.kind, core.plan.size
+    if kind == "star":
+        def change(i, j, a):
+            return _star_delta(size, deg[i] - a, deg[j] - a)
+    elif kind == "cycle" and size == 3:
+        rows = list(adj)  # views, so they follow the caller's flips
+
+        def change(i, j, a):
+            return _triangle_delta(rows[i], rows[j])
+    else:
+        return lambda i, j, a: hom_density_delta(motif, adj, i, j, scale)
+    norm = _density_divisor(core, adj.shape[0], scale)
+
+    def rule(i, j, a):
+        try:
+            d = change(i, j, a) / norm
+        except OverflowError:  # Python's ** raises where numpy's gives inf
+            d = math.inf
+        if not math.isfinite(d):
+            raise _not_finite(core, scale)
+        return d
+    return rule
 
 
 # ---------------------------------------------------------------------------

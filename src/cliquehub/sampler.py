@@ -19,10 +19,10 @@ import numpy as np
 from .errors import CapabilityError, DomainError, InternalError
 from .hamiltonian import (HamiltonianSpec, h_float, h_value, psi_solve,
                           validate_hamiltonian)
-from .motifs import (_as_matrix, _clique_delta, _cycle_delta, _density_core,
-                     _density_divisor, _not_finite, _star_delta,
-                     _triangle_delta, hom_density, hom_density_delta, rate,
-                     validate_family)
+# hom_density_delta is reached through toggle_rule; the name stays here
+# because perfbench's tracer wraps it on this module
+from .motifs import (_as_matrix, hom_density, hom_density_delta, rate,
+                     toggle_rule, validate_family)
 from .nmf import CliqueHub, overlay_sizes
 
 CLAMP = 700.0
@@ -108,7 +108,8 @@ class ErgmChain:
         self.pair_count = self.n * (self.n - 1) // 2
         self.offsets = [i * (2 * self.n - i - 1) // 2 for i in range(self.n)]
         self._t = self._fresh_t().tolist()
-        self._rules = [self._toggle_rule(f) for f in self.family]
+        self._rules = [toggle_rule(f, adj, self.deg, self.p)
+                       for f in self.family]
         self.steps = 0
         self.flips = 0
         self.sweeps = 0
@@ -122,38 +123,6 @@ class ErgmChain:
     def _fresh_t(self):
         return np.array([hom_density(f, self.adj, scale=self.p)
                          for f in self.family])
-
-    def _toggle_rule(self, motif):
-        """rule(i, j, a): the motif's density with pair {i, j} present minus
-        with it absent, given the pair's current value a (0.0 or 1.0); the
-        same value as hom_density_delta on the chain's table."""
-        adj, deg, p = self.adj, self.deg, self.p
-        core = _density_core(motif)
-        kind, size = core.plan.kind, core.plan.size
-        if kind == "star":
-            def change(i, j, a):
-                return _star_delta(size, deg[i] - a, deg[j] - a)
-        elif kind == "cycle" and size == 3:
-            rows = list(adj)  # views, so they follow the flips
-
-            def change(i, j, a):
-                return _triangle_delta(rows[i], rows[j])
-        elif kind == "cycle":
-            def change(i, j, a):
-                return _cycle_delta(size, adj, i, j)
-        elif kind == "clique":
-            def change(i, j, a):
-                return _clique_delta(size, adj, i, j)
-        else:
-            return lambda i, j, a: hom_density_delta(motif, adj, i, j, scale=p)
-        norm = _density_divisor(core, self.n, p)
-
-        def rule(i, j, a):
-            d = change(i, j, a) / norm
-            if not math.isfinite(d):
-                raise _not_finite(core, p)
-            return d
-        return rule
 
     def _heat_bath(self, i, j):
         """(deltas, q): the pair's density changes, or None when nothing is
@@ -189,11 +158,19 @@ class ErgmChain:
         self.deg[j] += value - a
         self.flips += 1
 
+    def _check_pair(self, i, j):
+        # the toggle rules and the degree vector assume a pair of distinct
+        # vertices; step draws only such pairs
+        if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
+            raise DomainError("bad edge (%d, %d)" % (i, j))
+
     def edge_probability(self, i, j):
         """Heat-bath probability that pair {i, j} is set to 1."""
+        self._check_pair(i, j)
         return self._heat_bath(i, j)[1]
 
     def set_edge(self, i, j, value):
+        self._check_pair(i, j)
         self._set(i, j, value, None)
 
     def step(self, rng):

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -599,9 +598,7 @@ def test_oversized_motif_name_is_a_capability_error(capsys, tmp_path, argv):
     ham.write_text(json.dumps({"family": ["C100000000"], "terms": [
         {"k": 0, "beta": 1.0, "gamma": 0.3}]}))
     fill = {"{table}": table_file(tmp_path, 5), "{ham}": str(ham)}
-    start = time.perf_counter()
     code, out, err = run_cli(capsys, [fill.get(a, a) for a in argv])
-    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error:capability:") and err.count("\n") == 1, err

@@ -102,6 +102,15 @@ def test_h_float_matches_h_value_bit_for_bit():
         assert h_float(spec, x.tolist()) == float(h_value(spec, x))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_h_float_gives_h_value_past_the_float_range():
+    # Python's ** raises OverflowError where numpy's gives inf
+    spec = HamiltonianSpec(("C3", "K12"), (HamiltonianTerm(0, 1.0, 0.0, 3.5),
+                                           HamiltonianTerm(1, -1.0, 0.0, 0.5)))
+    for x in ([1e120, 2.0], [1e120, 1e240]):
+        assert h_float(spec, x) == float(h_value(spec, np.array(x))) == math.inf
+
+
 def test_psi_triangle_hub_phase():
     # raw exponent 1/3 is the triangle model at literature-scale gamma 1
     spec = HamiltonianSpec(("C3",), (HamiltonianTerm(0, 1.0, 1.0, 1 / 3),))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cliquehub.motifs import (
     rate,
     resolve_motif,
     star_motif,
+    toggle_rule,
     validate_family,
 )
 
@@ -98,6 +100,18 @@ def test_motif_names_are_capped_before_anything_is_built():
     # only ASCII digits spell a size
     with pytest.raises(DomainError, match="unknown motif name"):
         motif_from_name("C\u00b3")
+
+
+def test_oversized_motif_name_allocates_nothing():
+    # the cap is checked on the digit string, before any edge tuple exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            motif_from_name("K5000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_motif_validation():
@@ -472,3 +486,28 @@ def test_hom_density_grad_scaling():
     g = hom_density_grad(mo, t, scale=0.3)
     expect = hom_sum_grad(mo, t.matrix) / (0.3 ** 4 * 7.0 ** 4)
     assert np.allclose(g, expect)
+
+
+def test_star_toggle_rule_overflow_is_a_domain_error():
+    # Python's ** raises OverflowError where numpy's gives inf; the rule
+    # turns both into the non-finite DomainError of hom_density_delta
+    star = star_motif(120)
+    adj = np.zeros((2, 2))
+    rule = toggle_rule(star, adj, [0.0, 0.0], 0.5)
+    assert rule(0, 1, 0.0) == hom_density_delta(star, adj, 0, 1, scale=0.5)
+    rule = toggle_rule(star, adj, [400.0, 400.0], 0.5)
+    with pytest.raises(DomainError, match="not finite"):
+        rule(0, 1, 0.0)
+
+
+def test_overflowed_density_divisor_is_a_domain_error():
+    # 400^121 is past the float range, so the 120-leaf star's density has
+    # no divisor at 400 vertices, whatever the table
+    star = star_motif(120)
+    adj = np.zeros((400, 400))
+    with pytest.raises(DomainError, match="normalizer overflows"):
+        hom_density(star, adj, scale=0.5)
+    with pytest.raises(DomainError, match="normalizer overflows"):
+        hom_density_delta(star, adj, 0, 1, scale=0.5)
+    with pytest.raises(DomainError, match="normalizer overflows"):
+        toggle_rule(star, adj, [0.0] * 400, 0.5)

@@ -221,6 +221,21 @@ def test_non_finite_toggle_delta_is_a_domain_error():
     assert chain.edge_probability(0, 3) == pytest.approx(1e-107)
 
 
+@pytest.mark.parametrize("spec", [None, "tilted"])
+@pytest.mark.parametrize("i, j", [(3, 3), (-1, 2), (0, 10), (10, 0)])
+def test_public_pair_methods_check_the_pair(spec, i, j):
+    # a loop or a wrapped index would corrupt the degree vector and the
+    # zero diagonal the toggle rules rely on
+    chain = ErgmChain(10, 0.3, spec=triangle_spec(1.0) if spec else None,
+                      adjacency=er_graph(10, 0.3, 5))
+    adj, deg = chain.adj.copy(), list(chain.deg)
+    with pytest.raises(DomainError, match="bad edge"):
+        chain.set_edge(i, j, 1)
+    with pytest.raises(DomainError, match="bad edge"):
+        chain.edge_probability(i, j)
+    assert np.array_equal(chain.adj, adj) and chain.deg == deg
+
+
 class StubGenerator:
     """Hands the chain a fixed pair index and a fixed uniform."""
 
