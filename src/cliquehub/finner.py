@@ -50,6 +50,8 @@ class ProductInstance:
             m = np.asarray(mass, dtype=float)
             if m.ndim != 1 or m.size == 0:
                 raise DomainError("each space needs a 1-d mass vector")
+            if not np.all(np.isfinite(m)):
+                raise DomainError("masses must be finite")
             if np.any(m <= 0.0):
                 raise DomainError("masses must be positive")
             if abs(m.sum() - 1.0) > 1e-9:
@@ -70,6 +72,8 @@ class ProductInstance:
             if a[0] < 0 or a[-1] >= n:
                 raise DomainError("set vertex out of range")
             lam = float(lam)
+            if not math.isfinite(lam):
+                raise DomainError("weights must be finite")
             if lam <= 0.0:
                 raise DomainError("weights must be positive")
             self.system.append((a, lam))
@@ -84,6 +88,8 @@ class ProductInstance:
             if f.shape != shape:
                 raise DomainError("function shape %s does not match set %s"
                                   % (f.shape, a))
+            if not np.all(np.isfinite(f)):
+                raise DomainError("function values must be finite")
             if np.any(f < 0.0):
                 raise DomainError("functions must be nonnegative")
             if self.set_integral(a, f) > 1.0 + 1e-12:

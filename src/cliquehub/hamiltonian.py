@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DomainError
-from .motifs import (_is_int, indep_poly, load_json, motif_from_name,
-                     resolve_motif, validate_family)
+# perfbench/spans.py looks indep_poly up here to time it
+from .motifs import (_is_int, indep_poly, load_json,  # noqa: F401
+                     motif_from_name, resolve_motif, validate_family)
 from .planar import PlanarProgram
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,7 +84,7 @@ def validate_hamiltonian(spec):
         # each motif's own max degree governs boundedness of its planar term;
         # for same-degree families this is the usual Delta / e(F_k) bound
         motif = spec.family[term.k]
-        bound = motif.max_degree / motif.edge_count
+        bound = motif.plan.max_degree / motif.edge_count
         if term.gamma >= bound:
             msg = ("growth condition fails: gamma=%g not below %g for motif %s"
                    % (term.gamma, bound, motif.name))
@@ -157,8 +158,11 @@ def hamiltonian_from_json_dict(d):
                             float(t["gamma"]))
             for t in d["terms"]
         )
-        return HamiltonianSpec(family, terms,
-                               bool(d.get("allow_degenerate", False)))
+        degenerate = d.get("allow_degenerate", False)
+        if not isinstance(degenerate, bool):
+            raise DomainError("bad hamiltonian json: allow_degenerate must "
+                              "be true or false")
+        return HamiltonianSpec(family, terms, degenerate)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError("bad hamiltonian json: %s" % exc)
 
@@ -419,9 +423,9 @@ class EdgeFModel:
             raise DomainError("beta and shift must be finite")
         if self.beta < 0:
             raise DomainError("beta must be nonnegative")
-        if not 0 < self.gamma < self.motif.max_degree:
+        if not 0 < self.gamma < plan.max_degree:
             raise DomainError(
-                "gamma must lie strictly inside (0, %d)" % self.motif.max_degree)
+                "gamma must lie strictly inside (0, %d)" % plan.max_degree)
         if self.shift < 0:
             raise DomainError("shift must be nonnegative")
 
@@ -538,9 +542,10 @@ def _grow_domain(fun, lo, hi, label):
 def solve_s_c(motif):
     """Crossover where the clique cost half s^(2/v) meets the hub cost."""
     motif = resolve_motif(motif)
-    if not motif.is_regular:
+    if not motif.plan.regular:
         raise DomainError("s_c needs a regular motif")
-    p = indep_poly(motif)
+    # a regular motif is its own star core
+    p = motif.plan.hub_poly
     v = motif.vertices
 
     def q(s):
@@ -574,14 +579,12 @@ class _Branches:
     """Closed-form hub/clique branch objectives for one edge-f model."""
 
     def __init__(self, model):
-        self.model = model
         self.motif = model.motif
         self.v = self.motif.vertices
-        self.e = self.motif.edge_count
         self.gq = model.exponent
         self.shift = model.shift
-        self.regular = self.motif.is_regular
-        self.p_star = indep_poly(self.motif.star_core())
+        self.regular = self.motif.plan.regular
+        self.p_star = self.motif.plan.hub_poly
         if self.regular:
             self.s_c = solve_s_c(self.motif)
             self.b_c = 0.5 * self.s_c ** (2.0 / self.v)

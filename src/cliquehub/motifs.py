@@ -15,6 +15,7 @@ straight off the motif, kept as a plan-free reference oracle.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -69,42 +70,10 @@ class Motif:
     def edge_count(self):
         return len(self.edges)
 
-    @property
-    def degrees(self):
-        deg = [0] * self.vertices
-        for u, w in self.edges:
-            deg[u] += 1
-            deg[w] += 1
-        return tuple(deg)
-
-    @property
-    def max_degree(self):
-        return max(self.degrees) if self.edges else 0
-
-    @property
-    def is_regular(self):
-        deg = self.degrees
-        return len(set(deg)) == 1
-
-    def star_core(self):
-        """Induced subgraph on the maximum-degree vertices."""
-        deg = self.degrees
-        dmax = self.max_degree
-        keep = [v for v in range(self.vertices) if deg[v] == dmax]
-        remap = {v: i for i, v in enumerate(keep)}
-        edges = tuple(
-            sorted(
-                (remap[u], remap[w])
-                for u, w in self.edges
-                if u in remap and w in remap
-            )
-        )
-        return Motif(self.name + "*", len(keep), edges)
-
     @functools.cached_property
     def plan(self):
-        """The motif classified once; every counting engine but the
-        exhaustive reference dispatches on it."""
+        """The motif classified once; every engine but the exhaustive
+        reference reads it."""
         return _compile(self)
 
     def to_json_dict(self):
@@ -351,10 +320,13 @@ class WeightTable:
     @staticmethod
     def from_json_dict(d):
         try:
-            n = int(d["n"])
+            n = d["n"]
             tri = np.asarray(d["triangle"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("bad weight table json: %s" % exc)
+        if not _is_int(n) or n < 0:
+            raise DomainError("bad weight table json: n must be a "
+                              "non-negative integer")
         if tri.size != n * (n - 1) // 2:
             raise DomainError("triangle length does not match n")
         x = np.zeros((n, n))
@@ -376,57 +348,89 @@ def er_table(n, p, rng):
 
 @dataclass(frozen=True)
 class MotifPlan:
-    """What the counting engines need to know about a motif.
+    """Every fact about a motif that an engine reads, derived once from its
+    edge list, so a motif's isolated vertices cost nothing.
 
     kind is "empty" (no edges), "cycle", "star", "clique" or "generic", and
     size is the cycle length, the number of star leaves or the clique size.
     The classification is of the core, the motif without its iso isolated
-    vertices; components are the connected components of the core.  The
-    generic engine and the gradients contract the core's edge list.
+    vertices (an edgeless motif keeps one); components are the connected
+    components of the core.  The generic engine and the gradients contract
+    the core's edge list, and every density is the core's.  max_degree is
+    the motif's maximum degree, and a regular motif has no isolated vertex
+    and all degrees equal.
     """
 
     kind: str
     size: int
     iso: int
-    core: Motif = None
+    core: Motif
     components: tuple = ()
+    max_degree: int = 0
+    regular: bool = False
+
+    @functools.cached_property
+    def hub_poly(self):
+        """Independence polynomial of the star core, the subgraph induced
+        on the maximum-degree vertices (every vertex when there is no
+        edge); built on first use, as indep_poly stops at 24 vertices."""
+        if self.kind == "empty":
+            star = Motif(self.core.name + "*", self.core.vertices + self.iso, ())
+        else:
+            top = sorted(u for u, d in _degrees(self.core).items()
+                         if d == self.max_degree)
+            star = _induced(self.core, top, self.core.name + "*")
+        return indep_poly(star)
+
+
+def _degrees(motif):
+    """Degree of each vertex that has an edge."""
+    return collections.Counter(u for e in motif.edges for u in e)
+
+
+def _induced(motif, keep, name):
+    """The subgraph induced on the increasing vertex list keep, relabeled
+    in that order, with its edges sorted."""
+    remap = {u: i for i, u in enumerate(keep)}
+    return Motif(name, len(keep), tuple(sorted(
+        (remap[u], remap[w]) for u, w in motif.edges
+        if u in remap and w in remap)))
 
 
 def _compile(motif):
-    deg = motif.degrees
-    live = [v for v in range(motif.vertices) if deg[v] > 0]
+    deg = _degrees(motif)
+    if not deg:
+        core = motif if motif.vertices == 1 else Motif(motif.name, 1, ())
+        return MotifPlan("empty", 0, motif.vertices - 1, core)
+    live = sorted(deg)
     iso = motif.vertices - len(live)
-    if not live:
-        return MotifPlan("empty", 0, iso)
-    core = motif
-    if iso:
-        remap = {v: i for i, v in enumerate(live)}
-        core = Motif(motif.name + "'", len(live),
-                     tuple(sorted((remap[u], remap[w]) for u, w in motif.edges)))
+    core = _induced(motif, live, motif.name + "'") if iso else motif
     v, e = core.vertices, core.edge_count
-    deg = core.degrees
+    low, high = min(deg.values()), max(deg.values())
     components = _components(core)
-    if len(components) == 1 and v >= 3 and e == v and deg == (2,) * v:
+    if len(components) == 1 and v >= 3 and e == v and low == high == 2:
         kind, size = "cycle", v
-    elif e == v - 1 and sorted(deg) == [1] * (v - 1) + [v - 1]:
+    elif e == v - 1 and high == v - 1:
+        # v - 1 edges at one vertex leave every other vertex a leaf
         kind, size = "star", v - 1
     elif e == v * (v - 1) // 2:
         kind, size = "clique", v
     else:
         kind, size = "generic", 0
-    return MotifPlan(kind, size, iso, core, components)
+    return MotifPlan(kind, size, iso, core, components, high,
+                     not iso and low == high)
 
 
 def _components(core):
     """Connected components of an isolate-free motif, relabeled; a connected
     motif is its own single component."""
-    adj = {v: [] for v in range(core.vertices)}
+    adj = {}
     for u, w in core.edges:
-        adj[u].append(w)
-        adj[w].append(u)
+        adj.setdefault(u, []).append(w)
+        adj.setdefault(w, []).append(u)
     parts = []
     seen = set()
-    for v0 in range(core.vertices):
+    for v0 in sorted(adj):
         if v0 in seen:
             continue
         stack = [v0]
@@ -442,13 +446,8 @@ def _components(core):
         parts.append(sorted(verts))
     if len(parts) == 1:
         return (core,)
-    comps = []
-    for verts in parts:
-        remap = {u: i for i, u in enumerate(verts)}
-        edges = tuple(sorted((remap[u], remap[w]) for u, w in core.edges
-                             if u in remap))
-        comps.append(Motif("%s~%d" % (core.name, len(comps)), len(verts), edges))
-    return tuple(comps)
+    return tuple(_induced(core, verts, "%s~%d" % (core.name, idx))
+                 for idx, verts in enumerate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +615,6 @@ def hom_sum(motif, table, engine="auto"):
     raise DomainError("unknown engine %r" % engine)
 
 
-def _density_core(motif):
-    # isolated vertices multiply a hom sum and its n^v normalizer alike, so
-    # every density is the core's; dropping them keeps n^iso from overflowing
-    return motif.plan.core or Motif(motif.name, 1, ())
-
-
 def _density_divisor(core, n, scale):
     """scale^e n^v for the core; a divisor that underflows to 0 or
     overflows is a DomainError."""
@@ -663,7 +656,9 @@ def hom_density(motif, table, scale=1.0, engine="auto"):
         raise DomainError("empty graph")
     if not 0.0 < scale < math.inf:
         raise DomainError("scale must be positive and finite")
-    core = _density_core(motif)
+    # isolated vertices multiply a hom sum and its n^v normalizer alike, so
+    # every density is the core's; dropping them keeps n^iso from overflowing
+    core = motif.plan.core
     return _normalize(hom_sum(core, x, engine=engine), core, n, scale)
 
 
@@ -748,7 +743,7 @@ def hom_sum_delta(motif, table, i, j):
 def hom_density_delta(motif, table, i, j, scale=1.0):
     x = _as_matrix(table)
     n = x.shape[0]
-    core = _density_core(motif)
+    core = motif.plan.core
     return _normalize(hom_sum_delta(core, x, i, j), core, n, scale)
 
 
@@ -761,8 +756,8 @@ def toggle_rule(motif, adj, deg, scale):
     takes one row dot product, both on Python floats and divided by the
     divisor computed once; every other motif calls hom_density_delta.
     """
-    core = _density_core(motif)
-    kind, size = core.plan.kind, core.plan.size
+    plan = motif.plan
+    core, kind, size = plan.core, plan.kind, plan.size
     if kind == "star":
         def change(i, j, a):
             return _star_delta(size, deg[i] - a, deg[j] - a)
@@ -865,7 +860,7 @@ def hom_density_grad(motif, table, scale=1.0):
     """Gradient of hom_density under the same pair-weight convention."""
     x = _as_matrix(table)
     n = x.shape[0]
-    core = _density_core(motif)
+    core = motif.plan.core
     return _normalize(hom_sum_grad(core, x), core, n, scale)
 
 
@@ -898,7 +893,7 @@ def validate_family(motifs, allow_mixed_max_degree=False):
     for m in motifs:
         if m.edge_count == 0:
             raise DomainError("motif %s has no edges" % m.name)
-    degs = sorted({m.max_degree for m in motifs})
+    degs = sorted({m.plan.max_degree for m in motifs})
     warnings = []
     if len(degs) > 1:
         if not allow_mixed_max_degree:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InternalError
-from .motifs import indep_poly, validate_family
+# perfbench/spans.py looks indep_poly up here to time it
+from .motifs import indep_poly, validate_family  # noqa: F401
 
 TIE_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -53,8 +54,8 @@ class PlanarProgram:
         self.family = validate_family(motifs, allow_mixed_max_degree)
         self.motifs = self.family.motifs
         self.delta = self.family.delta
-        self.polys = [indep_poly(m.star_core()) for m in self.motifs]
-        self.regular = [m.edge_count > 0 and m.is_regular for m in self.motifs]
+        self.polys = [m.plan.hub_poly for m in self.motifs]
+        self.regular = [m.plan.regular for m in self.motifs]
         self.vs = [m.vertices for m in self.motifs]
         self.m = len(self.motifs)
 

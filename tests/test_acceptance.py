@@ -114,7 +114,7 @@ def random_valid_spec(rng):
         terms = []
         for k, name in enumerate(family):
             m = motif_from_name(name)
-            cap = m.max_degree / m.edge_count
+            cap = m.plan.max_degree / m.edge_count
             beta = float(rng.uniform(0.1, 2.0))
             shift = float(rng.choice([1.0, 1.0, 1.5]))
             # stay well inside the growth bound so the optimizer box is

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,6 +347,19 @@ def test_non_finite_weights_are_a_domain_error(capsys, tmp_path):
         assert "finite" in err
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, "3", True])
+def test_table_size_must_be_a_non_negative_integer(capsys, tmp_path, n):
+    # n = -1 with one triangle entry passes the length check
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": n, "triangle": [0.5]}))
+    code, out, err = run_cli(capsys, ["hom-density", "--motif", "C3",
+                                      "--table", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == ("error:domain:bad weight table json: n must be a "
+                   "non-negative integer\n")
+
+
 def test_psi_output(capsys, tmp_path):
     ham = triangle_file(tmp_path)
     code, out, err = run_cli(capsys, ["psi", "--hamiltonian", ham])
@@ -478,18 +492,33 @@ GOOD_INSTANCE = {"spaces": [[1.0]], "system": [{"A": [0], "lambda": 1.0}],
                  "functions": [{"A_index": 0, "values": [1.0]}]}
 
 
-@pytest.mark.parametrize("key,value", [
-    ("functions", [1]),
-    ("system", [{"A": [3], "lambda": 1.0}]),
-    ("system", [{"A": [0], "lambda": "x"}]),
-], ids=["function-number", "vertex-past-spaces", "text-weight"])
-def test_misshapen_instance_is_a_domain_error(capsys, tmp_path, key, value):
+SHAPE = "bad instance document: "
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("functions", [1], SHAPE),
+    ("system", [{"A": [3], "lambda": 1.0}], SHAPE),
+    ("system", [{"A": [0], "lambda": "x"}], SHAPE),
+    # JSON's NaN and Infinity fail every comparison or the sum checks, so
+    # each value is checked for finiteness first
+    ("system", [{"A": [0], "lambda": math.nan}], "weights must be finite"),
+    ("system", [{"A": [0], "lambda": math.inf}], "weights must be finite"),
+    ("spaces", [[math.nan]], "masses must be finite"),
+    ("spaces", [[math.inf]], "masses must be finite"),
+    ("functions", [{"A_index": 0, "values": [math.nan]}],
+     "function values must be finite"),
+    ("functions", [{"A_index": 0, "values": [math.inf]}],
+     "function values must be finite"),
+], ids=["function-number", "vertex-past-spaces", "text-weight", "nan-weight",
+        "inf-weight", "nan-mass", "inf-mass", "nan-function", "inf-function"])
+def test_misshapen_instance_is_a_domain_error(capsys, tmp_path, key, value,
+                                              message):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(dict(GOOD_INSTANCE, **{key: value})))
     code, out, err = run_cli(capsys, ["finner-check", "--instance", str(path)])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:domain:bad instance document: ")
+    assert err.startswith("error:domain:" + message)
     assert err.count("\n") == 1, err
 
 

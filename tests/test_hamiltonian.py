@@ -69,6 +69,20 @@ def test_h_value_shape_and_json():
         hamiltonian_from_json_dict({"family": ["C3"]})
 
 
+def test_allow_degenerate_must_be_a_json_boolean():
+    # bool("false") is True, which would turn a growth-condition error into
+    # a warning
+    doc = {"family": ["C3"], "terms": [{"k": 0, "beta": 1.0, "gamma": 2.0}]}
+    for flag in ("false", 0, 1, None):
+        with pytest.raises(DomainError, match="allow_degenerate must be "
+                                              "true or false"):
+            hamiltonian_from_json_dict(dict(doc, allow_degenerate=flag))
+    assert not validate_hamiltonian(hamiltonian_from_json_dict(doc)).ok
+    spec = hamiltonian_from_json_dict(dict(doc, allow_degenerate=True))
+    assert spec.allow_degenerate is True
+    assert validate_hamiltonian(spec).ok
+
+
 def test_json_round_trip_keeps_an_inline_motif():
     # a family motif that no built-in name resolves to is written as its
     # document, so reading the dict back gives the same family

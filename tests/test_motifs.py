@@ -31,6 +31,7 @@ from cliquehub.motifs import (
     toggle_rule,
     validate_family,
 )
+from cliquehub.planar import PlanarProgram
 
 # small connected graphs used as cross-engine fixtures
 SMALL_GRAPHS = {
@@ -60,18 +61,22 @@ def test_motif_basic_properties():
     c3 = motif_from_name("C3")
     assert c3.vertices == 3
     assert c3.edge_count == 3
-    assert c3.max_degree == 2
-    assert c3.is_regular
+    assert c3.plan.max_degree == 2
+    assert c3.plan.regular
     c4 = motif_from_name("C4")
     assert c4.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
     star = motif_from_name("K13")
-    assert star.max_degree == 3
-    assert not star.is_regular
-    assert star.star_core().vertices == 1
+    assert star.plan.max_degree == 3
+    assert not star.plan.regular
+    # the x coefficient of an independence polynomial counts the vertices:
+    # the star core is the center alone
+    assert star.plan.hub_poly.coeffs[1] == 1
     edge = motif_from_name("K11")
-    assert edge.is_regular and edge.vertices == 2
+    assert edge.plan.regular and edge.vertices == 2
     k4 = motif_from_name("K4")
-    assert k4.degrees == (3, 3, 3, 3)
+    # four vertices, none isolated, all of degree 3
+    assert k4.vertices == 4
+    assert k4.plan.max_degree == 3 and k4.plan.regular
 
 
 def test_motif_name_errors():
@@ -144,7 +149,7 @@ def test_indep_poly_coefficients():
     assert list(indep_poly(motif_from_name("K13")).coeffs) == [1.0, 4.0, 3.0, 1.0]
     assert list(indep_poly(motif_from_name("K4")).coeffs) == [1.0, 4.0]
     # star core of a star is its center
-    assert list(indep_poly(motif_from_name("K13").star_core()).coeffs) == [1.0, 1.0]
+    assert list(motif_from_name("K13").plan.hub_poly.coeffs) == [1.0, 1.0]
 
 
 def test_indep_poly_inverse_round_trip():
@@ -286,6 +291,63 @@ def test_engines_match_the_exhaustive_oracle(case):
         lo[i, j] = lo[j, i] = x[i, j] - h
         fd = (hom_sum(motif, hi) - hom_sum(motif, lo)) / (2.0 * h)
         assert abs(grad[i, j] - fd) <= 1e-6 * max(1.0, abs(fd)), (i, j)
+
+
+def per_vertex_facts(motif):
+    """Maximum degree, regularity and star-core polynomial by their
+    per-vertex definitions, over a list of every vertex's degree."""
+    deg = [0] * motif.vertices
+    for u, w in motif.edges:
+        deg[u] += 1
+        deg[w] += 1
+    top = max(deg)
+    keep = [v for v in range(motif.vertices) if deg[v] == top]
+    remap = {v: i for i, v in enumerate(keep)}
+    star = Motif("F*", len(keep), tuple(sorted(
+        (remap[u], remap[w]) for u, w in motif.edges
+        if u in remap and w in remap)))
+    # the planar surrogate's a-term: an edgeless motif has none
+    regular = motif.edge_count > 0 and len(set(deg)) == 1
+    return top, regular, list(indep_poly(star).coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(motif_and_table())
+def test_plan_facts_match_a_per_vertex_derivation(case):
+    motif, _ = case
+    top, regular, coeffs = per_vertex_facts(motif)
+    plan = motif.plan
+    assert plan.max_degree == top
+    assert plan.regular == regular
+    assert list(plan.hub_poly.coeffs) == coeffs
+
+
+def test_isolated_vertices_cost_nothing():
+    # a document may declare any number of isolated vertices; the plan
+    # reads only the edge list, so a million of them allocate nothing
+    doc = {"name": "edge", "vertices": 10 ** 6, "edges": [[0, 1]]}
+    x = random_table(12, 0.4, 3).matrix
+    k11 = motif_from_name("K11")
+    runs = (
+        lambda: hom_density(resolve_motif(doc), x),
+        lambda: validate_family([doc]).delta,
+        lambda: PlanarProgram([doc]).solve([2.0]).value,
+    )
+    got = []
+    for run in runs:
+        tracemalloc.start()
+        try:
+            got.append(run())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+    assert got[0] == hom_density(k11, x)
+    assert got[1] == validate_family([k11]).delta == 1
+    for s in (0.5, 2.0, 7.0):
+        want = PlanarProgram([k11]).solve([s]).value
+        assert PlanarProgram([doc]).solve([s]).value == pytest.approx(
+            want, rel=1e-12)
 
 
 @pytest.mark.parametrize("binary", [True, False])
