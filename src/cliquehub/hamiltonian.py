@@ -24,7 +24,7 @@ from .errors import CapabilityError, DegeneracyError, DomainError
 # perfbench/spans.py looks indep_poly up here to time it
 from .motifs import (_is_int, indep_poly, load_json,  # noqa: F401
                      motif_from_name, resolve_motif, validate_family)
-from .planar import PlanarProgram
+from .planar import PlanarProgram, Surrogate
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -339,7 +339,7 @@ def psi_solve(spec, seed=0):
 
     # dual route: sup of h(1 + s) - phi(s) over the nonnegative orthant; it
     # certifies psi through the gap and contributes no optimizer
-    m = prog.m
+    m = len(prog.surrogates)
 
     def dual_val(s):
         if not np.all(np.isfinite(s)) or s.max(initial=0.0) > 1e100:
@@ -545,11 +545,10 @@ def solve_s_c(motif):
     if not motif.plan.regular:
         raise DomainError("s_c needs a regular motif")
     # a regular motif is its own star core
-    p = motif.plan.hub_poly
-    v = motif.vertices
+    t = Surrogate(motif)
 
     def q(s):
-        return p(0.5 * s ** (2.0 / v)) - (1.0 + s)
+        return t.hub_poly(0.5 * t.clique(s)) - (1.0 + s)
 
     lo = 1e-6
     while q(lo) <= 0.0 and lo > 1e-14:
@@ -579,18 +578,10 @@ class _Branches:
     """Closed-form hub/clique branch objectives for one edge-f model."""
 
     def __init__(self, model):
-        self.motif = model.motif
-        self.v = self.motif.vertices
+        self.surrogate = Surrogate(model.motif)
         self.gq = model.exponent
         self.shift = model.shift
-        self.regular = self.motif.plan.regular
-        self.p_star = self.motif.plan.hub_poly
-        if self.regular:
-            self.s_c = solve_s_c(self.motif)
-            self.b_c = 0.5 * self.s_c ** (2.0 / self.v)
-        else:
-            self.s_c = None
-            self.b_c = None
+        self.s_c = solve_s_c(model.motif) if self.surrogate.regular else None
 
     def f(self, x):
         return np.maximum(np.asarray(x, dtype=float) - self.shift, 0.0) ** self.gq
@@ -600,35 +591,33 @@ class _Branches:
         safe = np.where(rest > 0.0, rest, 1.0)
         return np.where(rest > 0.0, self.gq * safe ** (self.gq - 1.0), 0.0)
 
-    # hub branch parameterized by b: s = P(b) - 1, cost b
-    def hub_value(self, beta, b):
-        return beta * self.f(self.p_star(b)) - b
-
-    def hub_slope(self, beta, b):
-        return beta * self.f_prime(self.p_star(b)) * self.p_star.deriv(b) - 1.0
-
-    # clique branch in s directly: value beta f(1+s) - s^(2/v)/2
-    def clique_value(self, beta, s):
-        return beta * self.f(1.0 + s) - 0.5 * np.asarray(s, float) ** (2.0 / self.v)
-
-    def clique_slope(self, beta, s):
-        return (beta * self.f_prime(1.0 + s)
-                - (1.0 / self.v) * s ** (2.0 / self.v - 1.0))
-
     def branch_max(self, beta, branch, grid_n=1601):
         """(argmax, max, ambiguous) of the "hub" branch over b, on [0, b_c]
         for a regular motif, or of the "clique" branch over s >= s_c."""
-        hub = branch == "hub"
-        value = self.hub_value if hub else self.clique_value
-        slope = self.hub_slope if hub else self.clique_slope
-        lo = 0.0 if hub else self.s_c
-        if hub and self.regular:
-            hi = self.b_c
+        f, f_prime, t = self.f, self.f_prime, self.surrogate
+        if branch == "hub":
+            # parameterized by b: s = P(b) - 1, cost b
+            p, lo = t.hub_poly, 0.0
+
+            def value(b):
+                return beta * f(p(b)) - b
+
+            def slope(b):
+                return beta * f_prime(p(b)) * p.deriv(b) - 1.0
         else:
-            hi = _grow_domain(lambda t: value(beta, t), lo,
-                              max(2.0 * lo, 8.0), branch)
-        return _max_1d(lambda t: value(beta, t), lo, hi,
-                       dfun=lambda t: slope(beta, t), grid_n=grid_n)
+            # in s directly: value beta f(1+s) - s^(2/v)/2
+            clique, clique_deriv, lo = t.clique, t.clique_deriv, self.s_c
+
+            def value(s):
+                return beta * f(1.0 + s) - 0.5 * clique(np.asarray(s, float))
+
+            def slope(s):
+                return beta * f_prime(1.0 + s) - 0.5 * clique_deriv(s)
+        if branch == "hub" and t.regular:
+            hi = 0.5 * t.clique(self.s_c)
+        else:
+            hi = _grow_domain(value, lo, max(2.0 * lo, 8.0), branch)
+        return _max_1d(value, lo, hi, dfun=slope, grid_n=grid_n)
 
 
 _BETA_C_MEMO = {}
@@ -636,48 +625,41 @@ _BETA_C_MEMO = {}
 
 def solve_beta_c(model):
     """Smallest coupling where the clique branch value overtakes the hub."""
-    br = model if isinstance(model, _Branches) else _Branches(model)
-    if not br.regular:
+    if not model.motif.plan.regular:
         return None
-    key = (br.motif.vertices, br.motif.edges, br.gq, br.shift)
+    key = (model.motif.vertices, model.motif.edges, model.exponent, model.shift)
     if key in _BETA_C_MEMO:
         return _BETA_C_MEMO[key]
+    br = _Branches(model)
 
     def gap(beta):
         return (br.branch_max(beta, "hub", grid_n=501)[1]
                 - br.branch_max(beta, "clique", grid_n=501)[1])
 
     lo, hi = 0.0, 1.0
-    g_hi = gap(hi)
-    while g_hi > 0.0:
+    while gap(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 2.0 ** 20:
             raise DomainError("beta_c bracket exceeded the doubling cap")
-        g_hi = gap(hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    out = 0.5 * (lo + hi)
-    _BETA_C_MEMO[key] = out
-    return out
+    _BETA_C_MEMO[key] = 0.5 * (lo + hi)
+    return _BETA_C_MEMO[key]
 
 
 def solve_beta_o(model):
     """inf over s > 0 of phi(s) / (f(1+s) - f(1)); 0 when shift <= 1."""
-    br = model if isinstance(model, _Branches) else _Branches(model)
-    if br.shift <= 1.0:
+    if model.shift <= 1.0:
         return 0.0
+    br = _Branches(model)
 
     def ratio(s):
-        s = np.asarray(s, dtype=float)
         den = br.f(1.0 + s) - br.f(1.0)
-        phi = np.array([br.p_star.inverse(1.0 + x)
-                        for x in np.atleast_1d(s)]).reshape(s.shape)
-        if br.regular:
-            phi = np.minimum(0.5 * s ** (2.0 / br.v), phi)
+        phi = br.surrogate.phi(s)
         with np.errstate(divide="ignore"):
             return np.where(den > 0.0, phi / np.where(den > 0, den, 1.0), np.inf)
 
@@ -697,39 +679,29 @@ def solve_beta_o(model):
 def edge_f_solve(model):
     br = _Branches(model)
     beta = model.beta
-    warnings = []
     b_star, value_hub, amb_h = br.branch_max(beta, "hub")
-    s_hub = float(br.p_star(b_star)) - 1.0
-    if br.regular:
+    s_hub = float(br.surrogate.hub_poly(b_star)) - 1.0
+    phase, psi, s_star, a_star, beta_c = "hub", value_hub, s_hub, None, None
+    s_clique, value_clique, amb_c = None, -math.inf, False
+    if br.surrogate.regular:
         s_clique, value_clique, amb_c = br.branch_max(beta, "clique")
-        a_star = s_clique ** (2.0 / br.v)
-        beta_c = solve_beta_c(br)
+        a_star = br.surrogate.clique(s_clique)
+        beta_c = solve_beta_c(model)
         tie_scale = 1.0 + abs(value_hub) + abs(value_clique)
         if abs(value_hub - value_clique) <= 1e-12 * tie_scale:
             phase = "tie"
-        elif value_hub > value_clique:
-            phase = "hub"
-        else:
+        elif value_clique > value_hub:
             phase = "clique"
         psi = max(value_hub, value_clique)
         s_star = s_hub if phase == "hub" else s_clique
-    else:
-        s_clique = None
-        value_clique = -math.inf
-        a_star = None
-        beta_c = None
-        amb_c = False
-        phase = "hub"
-        psi = value_hub
-        s_star = s_hub
     if not (math.isfinite(value_hub) and math.isfinite(psi)
             and value_clique < math.inf):
         raise DomainError("edge-f branch values are not finite at beta=%g"
                           % beta)
     ambiguous = bool(amb_h or amb_c)
-    if ambiguous:
-        warnings.append("branch maximizer is flat beyond 1e-5; reporting one end")
-    return EdgeFSolution(br.s_c, beta_c, solve_beta_o(br), phase,
+    warnings = (["branch maximizer is flat beyond 1e-5; reporting one end"]
+                if ambiguous else [])
+    return EdgeFSolution(br.s_c, beta_c, solve_beta_o(model), phase,
                          s_hub, value_hub, s_clique, value_clique,
                          s_star, a_star, b_star, psi, ambiguous, warnings)
 

@@ -464,13 +464,21 @@ def _is_binary(x):
     return bool(np.all((x == 0.0) | (x == 1.0)))
 
 
+def _n_power(n, k):
+    """n^k as a float, or a DomainError where Python's ** would overflow."""
+    try:
+        return float(n) ** k
+    except OverflowError:
+        raise DomainError("%d^%d is past the float range" % (n, k)) from None
+
+
 def hom_sum_fast(motif, x):
     """Closed-form weighted homomorphism sum, or None if no fast path fits."""
     plan = motif.plan
     n = x.shape[0]
     if plan.kind == "empty":
-        return float(n) ** motif.vertices
-    scale_iso = float(n) ** plan.iso
+        return _n_power(n, motif.vertices)
+    scale_iso = _n_power(n, plan.iso)
 
     if plan.kind == "cycle":
         if _is_binary(x):
@@ -568,9 +576,9 @@ def hom_sum_generic(motif, x):
     plan = motif.plan
     n = x.shape[0]
     if plan.kind == "empty":
-        return float(n) ** motif.vertices
+        return _n_power(n, motif.vertices)
     total = float(_contract(plan.core.edges, x, max_maps=GENERIC_MAX_MAPS))
-    return total * float(n) ** plan.iso
+    return total * _n_power(n, plan.iso)
 
 
 def hom_sum_exhaustive(motif, x):
@@ -581,19 +589,19 @@ def hom_sum_exhaustive(motif, x):
     """
     n = x.shape[0]
     if not motif.edges:
-        return float(n) ** motif.vertices
+        return _n_power(n, motif.vertices)
     live = sorted({u for e in motif.edges for u in e})
-    if float(n) ** len(live) > EXHAUSTIVE_MAX_MAPS:
-        raise CapabilityError("exhaustive engine limited to %g maps"
-                              % EXHAUSTIVE_MAX_MAPS)
     if len(live) > len(LETTERS):
         raise CapabilityError("exhaustive engine limited to %d motif vertices"
                               % len(LETTERS))
+    if float(n) ** len(live) > EXHAUSTIVE_MAX_MAPS:
+        raise CapabilityError("exhaustive engine limited to %g maps"
+                              % EXHAUSTIVE_MAX_MAPS)
     letter = dict(zip(live, LETTERS))
     subs = ",".join(letter[u] + letter[w] for u, w in motif.edges)
     ops = [x] * motif.edge_count
     total = float(np.einsum(subs + "->", *ops, optimize=True))
-    return total * float(n) ** (motif.vertices - len(live))
+    return total * _n_power(n, motif.vertices - len(live))
 
 
 def hom_sum(motif, table, engine="auto"):
@@ -737,7 +745,7 @@ def hom_sum_delta(motif, table, i, j):
         b1 = b0.copy()
         b1[i, j] = b1[j, i] = 1.0
         return hom_sum(motif, b1) - hom_sum(motif, b0)
-    return float(n) ** plan.iso * float(d)
+    return _n_power(n, plan.iso) * float(d)
 
 
 def hom_density_delta(motif, table, i, j, scale=1.0):
@@ -844,7 +852,7 @@ def hom_sum_grad(motif, table):
     out = np.zeros((n, n))
     if plan.kind == "empty":
         return out
-    scale = float(n) ** plan.iso
+    scale = _n_power(n, plan.iso)
     comps = plan.components
     for idx, comp in enumerate(comps):
         rest = scale

@@ -47,26 +47,55 @@ class PlanarSolution:
     levels: dict = field(default_factory=dict)
 
 
+class Surrogate:
+    """T(a, b) = P_{F*}(b) + a^(v/2) [F regular] of one motif F, inverted: a
+    on a level curve, and the clique amplitude a = s^(2/v) and hub amplitude
+    b = P_{F*}^{-1}(1 + s) where T = 1 + s on each axis."""
+
+    def __init__(self, motif):
+        self.v = motif.vertices
+        self.regular = motif.plan.regular
+        self.hub_poly = motif.plan.hub_poly
+        self.power = 2.0 / self.v
+
+    def curve_a(self, target, b):
+        """a where T(a, b) = target at height b, 0 if P_{F*}(b) reaches it."""
+        rest = target - self.hub_poly(b)
+        if isinstance(rest, np.ndarray):
+            return np.where(rest > 0.0, np.maximum(rest, 0.0) ** self.power, 0.0)
+        return max(float(rest), 0.0) ** self.power
+
+    def clique(self, s):
+        return s ** self.power
+
+    def clique_deriv(self, s):
+        return self.power * s ** (self.power - 1.0)
+
+    def hub(self, s):
+        return self.hub_poly.inverse(1.0 + s)
+
+    def phi(self, s):
+        """This motif's own phi(s) = min(a/2, b), b if irregular; an array."""
+        s = np.asarray(s, dtype=float)
+        b = np.array([self.hub(x) for x in s.flat]).reshape(s.shape)
+        return np.minimum(0.5 * self.clique(s), b) if self.regular else b
+
+
 class PlanarProgram:
     """A motif family compiled once so many targets can be solved quickly."""
 
     def __init__(self, motifs, allow_mixed_max_degree=False):
-        self.family = validate_family(motifs, allow_mixed_max_degree)
-        self.motifs = self.family.motifs
-        self.delta = self.family.delta
-        self.polys = [m.plan.hub_poly for m in self.motifs]
-        self.regular = [m.plan.regular for m in self.motifs]
-        self.vs = [m.vertices for m in self.motifs]
-        self.m = len(self.motifs)
+        family = validate_family(motifs, allow_mixed_max_degree)
+        self.surrogates = [Surrogate(m) for m in family.motifs]
 
     def t_values(self, a, b):
         """T_k(a, b) = P_{F_k*}(b) + a^(v_k/2) [F_k regular] for every motif;
         a and b may be arrays."""
         out = []
-        for poly, reg, v in zip(self.polys, self.regular, self.vs):
-            val = poly(b)
-            if reg:
-                val = val + a ** (v / 2.0)
+        for t in self.surrogates:
+            val = t.hub_poly(b)
+            if t.regular:
+                val = val + a ** (t.v / 2.0)
             out.append(val)
         return np.array(out)
 
@@ -74,34 +103,26 @@ class PlanarProgram:
         """s(a, b) = T(a, b) - 1, the excess vector at a point."""
         return np.maximum(self.t_values(a, b) - 1.0, 0.0)
 
-    def curve_a(self, k, target, b):
-        """a on the level curve T_k(a, b) = target at height b (arrays
-        welcome); 0 where P_{F_k*}(b) alone reaches the target."""
-        rest = target - self.polys[k](b)
-        if isinstance(rest, np.ndarray):
-            return np.where(rest > 0.0,
-                            np.maximum(rest, 0.0) ** (2.0 / self.vs[k]), 0.0)
-        return max(float(rest), 0.0) ** (2.0 / self.vs[k])
-
     def _crossings(self, i, j, levels):
         """Points where the level curves of motifs i and j meet."""
         (ti, ai, bi), (tj, aj, bj) = levels[i], levels[j]
+        ci, cj = self.surrogates[i].curve_a, self.surrogates[j].curve_a
         if ai is None and aj is None:
             # two horizontal lines: no new corner
             return []
         if ai is None or aj is None:
-            k, t, b = (i, ti, bj) if aj is None else (j, tj, bi)
-            return [(self.curve_a(k, t, b), b)]
+            c, t, b = (ci, ti, bj) if aj is None else (cj, tj, bi)
+            return [(c(t, b), b)]
         hi = min(bi, bj)
         if hi <= 0:
             return []
 
         def da(b):
-            return self.curve_a(i, ti, b) - self.curve_a(j, tj, b)
+            return ci(ti, b) - cj(tj, b)
 
         grid = np.linspace(0.0, hi, 513)
         d = da(grid)
-        pts = [(self.curve_a(i, ti, grid[t]), float(grid[t]))
+        pts = [(ci(ti, grid[t]), float(grid[t]))
                for t in np.flatnonzero(d == 0.0)]
         for t in np.flatnonzero(d[:-1] * d[1:] < 0.0):
             lo, up = grid[t], grid[t + 1]
@@ -117,7 +138,7 @@ class PlanarProgram:
                     up = mid
             else:
                 mid = 0.5 * (lo + up)
-            a0 = 0.5 * (self.curve_a(i, ti, mid) + self.curve_a(j, tj, mid))
+            a0 = 0.5 * (ci(ti, mid) + cj(tj, mid))
             pts.append((a0, float(mid)))
         return pts
 
@@ -134,16 +155,15 @@ class PlanarProgram:
 
     def solve(self, s, tie_tol=TIE_TOL):
         s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
-        if len(s) != self.m:
+        if len(s) != len(self.surrogates):
             raise DomainError("need one target per motif")
         if not all(math.isfinite(sk) for sk in s):
             raise DomainError("targets must be finite")
         if any(sk < 0.0 for sk in s):
             raise DomainError("targets must be nonnegative")
         levels = {
-            k: (1.0 + sk, sk ** (2.0 / self.vs[k]) if self.regular[k] else None,
-                self.polys[k].inverse(1.0 + sk))
-            for k, sk in enumerate(s) if sk > 0.0
+            k: (1.0 + sk, t.clique(sk) if t.regular else None, t.hub(sk))
+            for k, (t, sk) in enumerate(zip(self.surrogates, s)) if sk > 0.0
         }
         if not levels:
             return PlanarSolution(
@@ -227,6 +247,6 @@ def phi_region_emit(motifs, s, na=101, nb=101):
             # one scalar curve_a per point: numpy's array power can differ
             # from the C library's pow in the last bit, and these points are
             # written to files whose digests are pinned
-            curves[k] = [(prog.curve_a(k, target, b), b)
+            curves[k] = [(prog.surrogates[k].curve_a(target, b), b)
                          for b in np.linspace(0.0, b_axis, 201).tolist()]
     return rows, curves

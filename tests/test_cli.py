@@ -384,6 +384,10 @@ def test_edge_f_beta_grid_csv(capsys, tmp_path):
     assert phases[1.0] == "hub"
     assert phases[2.0] == "clique"
     assert phases[2.5] == "clique"
+    # sha256 of the table at the commit that introduced the pin; a change
+    # meant to alter its bits updates this value and says why
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "e9f878a1f7f1582a95264b52294f8c6737e57c168451d7e82cdbfae1584ef140")
     # without --out the run record sits next to the emitted file, not in cwd
     assert (tmp_path / "manifest.json").exists()
     assert not os.path.exists("manifest.json")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -346,6 +347,68 @@ def test_beta_o_cases():
     # with shift > 1 the objective stays at zero until a positive coupling
     sol = edge_f_solve(EdgeFModel("C3", 1.0, 1.0, shift=2.0))
     assert sol.beta_o > 0.0
+
+
+# every EdgeFSolution field at the commit that introduced the pin, as
+# (motif, beta, gamma, shift) -> astuple(solution).  The fields are compared
+# by repr, so a change in the last bit of any of them fails.  A change meant
+# to alter them updates these values and says why.
+EDGE_F_PIN = {
+    ("C3", 1.0, 1.0, 1.0): (
+        3.375, 1.7777777777777781, 0.0, "hub", 0.9999999999999996,
+        0.6666666666666667, 3.375, 0.375, 0.9999999999999996, 2.25,
+        0.3333333333333332, 0.6666666666666667, False, []),
+    ("C3", 1.78, 1.0, 1.0): (
+        3.375, 1.7777777777777781, 0.0, "clique", 2.374816203414487,
+        1.583210802276325, 5.639751999999998, 1.5842, 5.639751999999998,
+        3.168399999999999, 0.7916054011381624, 1.5842, False, []),
+    ("C3", 2.5, 1.0, 1.0): (
+        3.375, 1.7777777777777781, 0.0, "clique", 3.375, 2.625,
+        15.624999999999995, 3.125, 15.624999999999995, 6.249999999999998,
+        1.125, 3.125, False, []),
+    ("K12", 1.0, 0.9, 1.0): (
+        None, None, 0.0, "hub", 0.23414090776001273, 0.2861722205955711,
+        None, -math.inf, 0.23414090776001273, None, 0.2341409077600128,
+        0.2861722205955711, False, []),
+    ("C4", 1.0, 1.0, 2.0): (
+        15.99999999999999, 2.1846150111531806, 0.3820527134602766, "hub",
+        2.790095042986894, 0.6091013298743391, 15.99999999999999,
+        -0.032010328734569216, 2.790095042986894, 3.9999999999999987,
+        0.5475941074756802, 0.6091013298743391, False, []),
+    ("K12", 3.0, 0.9, 1.5): (
+        None, None, 1.3592157301534442, "hub", 2.2257206192607852,
+        1.6092140902076268, None, -math.inf, 2.2257206192607852, None,
+        2.2257206192607852, 1.6092140902076268, False, []),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_F_PIN), ids=repr)
+def test_edge_f_solutions_match_the_pin(case):
+    got = dataclasses.astuple(edge_f_solve(EdgeFModel(*case)))
+    assert repr(got) == repr(EDGE_F_PIN[case])
+
+
+def test_beta_o_is_the_infimum_of_the_planar_ratio():
+    # beta_o = inf over s > shift - 1 of phi(s) / (f(1+s) - f(1)); scan that
+    # ratio with the planar program's phi on a geometric grid above shift - 1,
+    # then again on a finer one between the best point's neighbours
+    for name, gamma, shift in (("C3", 1.0, 2.0), ("C4", 1.0, 2.0),
+                               ("K12", 0.9, 1.5)):
+        model = EdgeFModel(name, 1.0, gamma, shift)
+        beta_o = edge_f_solve(model).beta_o
+
+        def f(x):
+            return max(x - shift, 0.0) ** model.exponent
+
+        def ratio(s):
+            return phi_solve([name], [s]).value / (f(1.0 + s) - f(1.0))
+
+        gaps = np.geomspace(1e-6, 1e4, 1001)
+        i = min(range(len(gaps)), key=lambda j: ratio(shift - 1.0 + gaps[j]))
+        fine = np.geomspace(gaps[max(i - 1, 0)], gaps[min(i + 1, 1000)], 1001)
+        best = min(ratio(shift - 1.0 + g) for g in fine.tolist())
+        assert beta_o <= best, name
+        assert beta_o == pytest.approx(best, rel=1e-6), name
 
 
 def test_monotone_selection():

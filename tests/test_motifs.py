@@ -401,6 +401,10 @@ def test_hom_generic_caps():
     with pytest.raises(CapabilityError):
         hom_sum(cycle_motif(8), random_table(14, 0.5, seed=3),
                 engine="exhaustive")
+    # 20^300 maps are past the float range, so the vertex cap comes first
+    path = Motif("P300", 300, tuple((i, i + 1) for i in range(299)))
+    with pytest.raises(CapabilityError, match="motif vertices"):
+        hom_sum(path, random_table(20, 0.5, seed=3), engine="exhaustive")
 
 
 def test_hom_delta_matches_recompute():
@@ -560,6 +564,29 @@ def test_star_toggle_rule_overflow_is_a_domain_error():
     rule = toggle_rule(star, adj, [400.0, 400.0], 0.5)
     with pytest.raises(DomainError, match="not finite"):
         rule(0, 1, 0.0)
+
+
+ISOLATED_EDGE = Motif("e", 2000, ((0, 1),))
+EDGELESS = Motif("e", 2000, ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: hom_sum(ISOLATED_EDGE, x, engine="fast"),
+    lambda x: hom_sum(ISOLATED_EDGE, x, engine="generic"),
+    lambda x: hom_sum(ISOLATED_EDGE, x, engine="exhaustive"),
+    lambda x: hom_sum_delta(ISOLATED_EDGE, x, 0, 1),
+    lambda x: hom_sum_grad(ISOLATED_EDGE, x),
+    lambda x: hom_sum(EDGELESS, x, engine="fast"),
+    lambda x: hom_sum(EDGELESS, x, engine="generic"),
+    lambda x: hom_sum(EDGELESS, x, engine="exhaustive"),
+], ids=["fast", "generic", "exhaustive", "delta", "grad", "edgeless-fast",
+        "edgeless-generic", "edgeless-exhaustive"])
+def test_raw_sum_past_the_float_range_is_a_domain_error(call):
+    # 20^1998 is past the float range; the n^iso factor of every raw hom sum
+    # engine reports it instead of raising Python's OverflowError
+    x = np.ones((20, 20)) - np.eye(20)
+    with pytest.raises(DomainError, match="past the float range"):
+        call(x)
 
 
 def test_overflowed_density_divisor_is_a_domain_error():

@@ -27,6 +27,26 @@ def test_t_values():
         1.0 + 4.0 + 2.0 + 81.0)
 
 
+def test_surrogate_inverts_t_on_each_axis():
+    # T(a, 0) and T(0, b) reach 1 + s at the clique and hub amplitudes, and
+    # one motif's phi is the cheaper axis point, as the program finds
+    for name in ("K11", "K12", "C3", "C4", "K13"):
+        prog = PlanarProgram([name])
+        t = prog.surrogates[0]
+        for s in (0.5, 3.0, 40.0):
+            assert prog.t_values(0.0, t.hub(s))[0] == pytest.approx(
+                1.0 + s, rel=1e-12)
+            if t.regular:
+                assert prog.t_values(t.clique(s), 0.0)[0] == pytest.approx(
+                    1.0 + s, rel=1e-12)
+                step = 1e-6 * s
+                assert t.clique_deriv(s) == pytest.approx(
+                    (t.clique(s + step) - t.clique(s - step)) / (2 * step),
+                    rel=1e-6)
+            assert float(t.phi(s)) == pytest.approx(
+                phi_solve([name], [s]).value, rel=1e-12)
+
+
 def test_single_triangle_closed_form():
     for s in (0.1, 0.5, 1.0, 2.0, 27 / 8, 5.0, 8.0, 20.0, 100.0):
         sol = phi_solve(["C3"], [s])

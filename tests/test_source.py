@@ -68,6 +68,29 @@ def test_no_module_imports_scipy_optimize():
     assert found == []
 
 
+def test_only_planar_inverts_the_surrogate():
+    # T_k(a, b) = P*(b) + a^(v/2) is defined in planar.py, and so are its
+    # inverses on the axes, a = s^(2/v) and b = P*^-1(1 + s); the edge-f
+    # solver reads them there instead of restating them
+    found = []
+    for path in SOURCES:
+        if path.name == "planar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.func.attr == "inverse":
+                found.append("%s:%d .inverse(" % (path.name, node.lineno))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                    and any(isinstance(e, ast.BinOp)
+                            and isinstance(e.op, ast.Div)
+                            and isinstance(e.left, ast.Constant)
+                            and e.left.value == 2
+                            for e in ast.walk(node.right)):
+                found.append("%s:%d ** (2 / ...)" % (path.name, node.lineno))
+    assert SOURCES
+    assert found == []
+
+
 HAMILTONIAN = ('{"family": ["K12", "C3"], "terms": ['
                '{"k": 0, "beta": 0.7, "gamma": 0.6}, '
                '{"k": 1, "beta": 0.4, "shift": 1.2, "gamma": 0.5}]}')
