@@ -80,17 +80,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _cell(v):
-    """One CSV cell: shortest round-trip repr for floats, plain otherwise."""
-    if isinstance(v, (bool, np.bool_)):
-        return int(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return v
-
-
 class Manifest:
     """Collects emitted files and writes the run record."""
 
@@ -129,12 +118,12 @@ class Manifest:
         return path
 
     def write_csv(self, name, header, rows):
+        # cells are str, int, float or None; csv writes a float by its repr
         path = self.resolve(name)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(rows)
         self.add(path)
         return path
 

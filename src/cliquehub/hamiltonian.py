@@ -415,17 +415,14 @@ class EdgeFModel:
     shift: float = 1.0
 
     def __post_init__(self):
-        self.motif = resolve_motif(self.motif)
-        plan = self.motif.plan
-        if plan.kind == "empty" or plan.iso or len(plan.components) > 1:
-            raise DomainError("edge-f model needs a connected motif with edges")
+        self.motif = validate_family([self.motif]).motifs[0]  # has edges
         if not (math.isfinite(self.beta) and math.isfinite(self.shift)):
             raise DomainError("beta and shift must be finite")
         if self.beta < 0:
             raise DomainError("beta must be nonnegative")
-        if not 0 < self.gamma < plan.max_degree:
-            raise DomainError(
-                "gamma must lie strictly inside (0, %d)" % plan.max_degree)
+        delta = self.motif.plan.max_degree
+        if not 0 < self.gamma < delta:
+            raise DomainError("gamma must lie strictly inside (0, %d)" % delta)
         if self.shift < 0:
             raise DomainError("shift must be nonnegative")
 
@@ -541,11 +538,10 @@ def _grow_domain(fun, lo, hi, label):
 
 def solve_s_c(motif):
     """Crossover where the clique cost half s^(2/v) meets the hub cost."""
-    motif = resolve_motif(motif)
-    if not motif.plan.regular:
+    t = Surrogate(resolve_motif(motif))
+    if not t.regular:
         raise DomainError("s_c needs a regular motif")
-    # a regular motif is its own star core
-    t = Surrogate(motif)
+    # a regular core is its own star core
 
     def q(s):
         return t.hub_poly(0.5 * t.clique(s)) - (1.0 + s)
@@ -620,16 +616,22 @@ class _Branches:
         return _max_1d(value, lo, hi, dfun=slope, grid_n=grid_n)
 
 
-_BETA_C_MEMO = {}
+# beta_c and beta_o read only the core, the exponent and the shift
+_CRITICAL = {}
+
+
+def _critical(model):
+    core = model.motif.plan.core
+    key = (core.vertices, core.edges, model.exponent, model.shift)
+    if key not in _CRITICAL:
+        _CRITICAL[key] = (solve_beta_c(model), solve_beta_o(model))
+    return _CRITICAL[key]
 
 
 def solve_beta_c(model):
     """Smallest coupling where the clique branch value overtakes the hub."""
-    if not model.motif.plan.regular:
+    if not Surrogate(model.motif).regular:
         return None
-    key = (model.motif.vertices, model.motif.edges, model.exponent, model.shift)
-    if key in _BETA_C_MEMO:
-        return _BETA_C_MEMO[key]
     br = _Branches(model)
 
     def gap(beta):
@@ -647,8 +649,7 @@ def solve_beta_c(model):
             lo = mid
         else:
             hi = mid
-    _BETA_C_MEMO[key] = 0.5 * (lo + hi)
-    return _BETA_C_MEMO[key]
+    return 0.5 * (lo + hi)
 
 
 def solve_beta_o(model):
@@ -681,12 +682,12 @@ def edge_f_solve(model):
     beta = model.beta
     b_star, value_hub, amb_h = br.branch_max(beta, "hub")
     s_hub = float(br.surrogate.hub_poly(b_star)) - 1.0
-    phase, psi, s_star, a_star, beta_c = "hub", value_hub, s_hub, None, None
+    phase, psi, s_star, a_star = "hub", value_hub, s_hub, None
+    beta_c, beta_o = _critical(model)
     s_clique, value_clique, amb_c = None, -math.inf, False
     if br.surrogate.regular:
         s_clique, value_clique, amb_c = br.branch_max(beta, "clique")
         a_star = br.surrogate.clique(s_clique)
-        beta_c = solve_beta_c(model)
         tie_scale = 1.0 + abs(value_hub) + abs(value_clique)
         if abs(value_hub - value_clique) <= 1e-12 * tie_scale:
             phase = "tie"
@@ -701,7 +702,7 @@ def edge_f_solve(model):
     ambiguous = bool(amb_h or amb_c)
     warnings = (["branch maximizer is flat beyond 1e-5; reporting one end"]
                 if ambiguous else [])
-    return EdgeFSolution(br.s_c, beta_c, solve_beta_o(model), phase,
+    return EdgeFSolution(br.s_c, beta_c, beta_o, phase,
                          s_hub, value_hub, s_clique, value_clique,
                          s_star, a_star, b_star, psi, ambiguous, warnings)
 

@@ -17,7 +17,7 @@ from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
 from .hamiltonian import h_value, psi_solve
 from .motifs import (WeightTable, _as_matrix, hom_density, hom_density_grad,
                      rate, resolve_motif, validate_family)
-from .planar import PlanarProgram
+from .planar import PlanarProgram, PlanarSolution
 
 N_CAP = 256
 EPS_CLIP = 1e-9
@@ -286,6 +286,8 @@ def _warm_starts(prob, seed):
                     witnesses.append((label, ch))
     except DegeneracyError:
         warnings.append("objective degenerate in the limit; overlay starts skipped")
+    except CapabilityError as err:
+        warnings.append("%s; overlay starts skipped" % err)
     rng = np.random.default_rng(seed)
     for r in range(3):
         m = rng.uniform(EPS_CLIP, 1.0 - EPS_CLIP, size=(n, n))
@@ -480,8 +482,11 @@ def phi_np_solve(prob, extra_candidates=None):
         if all(s_prev[k] >= sk for k, sk in enumerate(prob.s)):
             candidates.append(("cache", np.array(Q_prev)))
 
-    prog = PlanarProgram(prob.family, allow_mixed_max_degree=True)
-    limit = prog.solve(prob.s)
+    try:
+        prog = PlanarProgram(prob.family, allow_mixed_max_degree=True)
+        limit = prog.solve(prob.s)
+    except CapabilityError:  # no planar limit: no witnesses, a null value
+        limit = PlanarSolution(None, [])
     points = [(o.a, o.b) for o in limit.optimizers]
     points += [(a, b) for a, b, _ in limit.near_ties]
     witness_vals = []
@@ -526,7 +531,7 @@ def phi_np_solve(prob, extra_candidates=None):
         raise InternalError("witness dominance violated")
     _PHI_CACHE.setdefault(key, []).append((tuple(prob.s), value, np.array(Q)))
     diag = {"candidates": rows, "selected": label,
-            "witness_value": min(witness_vals) if witness_vals else math.nan,
+            "witness_value": min(witness_vals) if witness_vals else None,
             "limit_value": limit.value, "rate": prob.rate}
     return PhiNpSolution(value=value, table=WeightTable(np.clip(Q, 0.0, 1.0)),
                          t=t, residual=residual, diagnostics=diag)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InternalError
+from .errors import CapabilityError, DomainError, InternalError
 # perfbench/spans.py looks indep_poly up here to time it
 from .motifs import indep_poly, validate_family  # noqa: F401
 
@@ -50,12 +50,17 @@ class PlanarSolution:
 class Surrogate:
     """T(a, b) = P_{F*}(b) + a^(v/2) [F regular] of one motif F, inverted: a
     on a level curve, and the clique amplitude a = s^(2/v) and hub amplitude
-    b = P_{F*}^{-1}(1 + s) where T = 1 + s on each axis."""
+    b = P_{F*}^{-1}(1 + s) where T = 1 + s on each axis.  T is F's core's, as
+    F's densities are.  A disconnected core has none; this is the one gate."""
 
     def __init__(self, motif):
-        self.v = motif.vertices
-        self.regular = motif.plan.regular
-        self.hub_poly = motif.plan.hub_poly
+        plan = motif.plan.core.plan
+        if len(plan.components) > 1:
+            raise CapabilityError("the planar surrogate needs a connected "
+                                  "motif, not %s" % motif.name)
+        self.v = plan.core.vertices
+        self.regular = plan.regular
+        self.hub_poly = plan.hub_poly
         self.power = 2.0 / self.v
 
     def curve_a(self, target, b):

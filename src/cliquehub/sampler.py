@@ -610,7 +610,7 @@ def run_experiment(config):
             summary["limit_optimizers"] = psi.optimizers
             summary["target_sizes"] = [overlay_sizes(n, p, delta, a, b)
                                        for a, b in psi.optimizers]
-        except DomainError as err:  # degenerate objectives stay reportable
+        except (DomainError, CapabilityError) as err:  # reported, not fatal
             summary["limit_error"] = str(err)
     return ExperimentResult(columns=columns, rows=rows, summary=summary,
                             final=final)

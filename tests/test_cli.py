@@ -11,7 +11,7 @@ import pytest
 
 from cliquehub import cli, finner, sampler
 from cliquehub.errors import DegeneracyError, DomainError, InternalError
-from cliquehub.motifs import WeightTable, er_table
+from cliquehub.motifs import WeightTable, er_table, motif_from_name
 from cliquehub.hamiltonian import (HamiltonianSpec, HamiltonianTerm,
                                    hamiltonian_to_json_dict)
 
@@ -673,8 +673,70 @@ def test_isolated_vertices_leave_phi_np_unchanged(capsys, tmp_path):
     assert code == 0, err
     code, edge, err = run_cli(capsys, PHI_NP + ["K11"])
     assert code == 0, err
-    assert json.loads(lonely)["value"] == pytest.approx(
-        json.loads(edge)["value"], rel=1e-12)
+    assert lonely == edge
+
+
+def padded_motif_file(tmp_path, name):
+    """The built-in motif with an isolated vertex before and after it."""
+    motif = motif_from_name(name)
+    return motif_file(tmp_path, name, motif.vertices + 2,
+                      [[u + 1, w + 1] for u, w in motif.edges])
+
+
+def planar_commands(tmp_path, motif, gamma):
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"family": [motif], "terms": [
+        {"k": 0, "beta": 1.0, "gamma": gamma}]}))
+    return [["planar-phi", "--motifs", motif, "--s", "8.0"],
+            ["psi", "--hamiltonian", str(ham)],
+            ["edge-f", "--motif", motif, "--gamma", "1.0", "--beta", "1.78"]]
+
+
+@pytest.mark.parametrize("name, gamma", [
+    ("C3", 0.5), ("C4", 0.4), ("K12", 0.8), ("K13", 0.8)])
+def test_isolated_vertices_leave_the_planar_answers_unchanged(
+        capsys, tmp_path, name, gamma):
+    # the planar surrogate is the core's, as the densities are; C3 and C4
+    # used to lose their clique term to an isolated vertex
+    padded = padded_motif_file(tmp_path, name)
+    for bare, argv in zip(planar_commands(tmp_path, name, gamma),
+                          planar_commands(tmp_path, padded, gamma)):
+        code, want, err = run_cli(capsys, bare)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert out == want, bare[0]
+
+
+TWO_TRIANGLES = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
+
+
+def test_a_disconnected_motif_has_no_planar_limit(capsys, tmp_path):
+    # the surrogate is defined for a connected motif only: the commands
+    # that answer with it refuse two disjoint triangles, and the rest run
+    # without it
+    two = motif_file(tmp_path, "2C3", 6, TWO_TRIANGLES)
+    commands = planar_commands(tmp_path, two, 0.25)
+    for argv in commands:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv[0]
+        assert out == ""
+        assert err.startswith("error:capability:") and err.count("\n") == 1
+    ham = commands[1][-1]  # psi's Hamiltonian, a 2C3 term
+    code, out, err = run_cli(capsys, PHI_NP + [two])
+    assert code == 0, err
+    assert json.loads(out)["witness_value"] is None
+    code, out, err = run_cli(capsys, ["nmf", "--n", "12", "--p", "0.3",
+                                      "--hamiltonian", ham])
+    assert code == 0, err
+    assert json.loads(out)["warnings"] == [
+        "the planar surrogate needs a connected motif, not 2C3; overlay "
+        "starts skipped"]
+    code, out, err = run_cli(capsys, ["sample", "--n", "12", "--p", "0.3",
+                                      "--sweeps", "1", "--hamiltonian", ham])
+    assert code == 0, err
+    assert json.loads(out)["summary"]["limit_error"] == (
+        "the planar surrogate needs a connected motif, not 2C3")
 
 
 def test_beta_grid_point_count_is_bounded(capsys):

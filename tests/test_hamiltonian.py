@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cliquehub import hamiltonian
-from cliquehub.errors import DegeneracyError, DomainError
+from cliquehub.errors import CapabilityError, DegeneracyError, DomainError
 from cliquehub.hamiltonian import (
     EdgeFModel,
     HamiltonianSpec,
@@ -337,8 +337,20 @@ def test_edge_f_model_validation():
     # single edge is fine; disconnected motif is not
     EdgeFModel(two, 1.0, 0.5)
     from cliquehub.motifs import Motif
-    with pytest.raises(DomainError):
-        EdgeFModel(Motif("2K2", 4, ((0, 1), (2, 3))), 1.0, 0.5)
+    with pytest.raises(CapabilityError):
+        edge_f_solve(EdgeFModel(Motif("2K2", 4, ((0, 1), (2, 3))), 1.0, 0.5))
+
+
+def test_a_beta_grid_solves_beta_o_once(monkeypatch):
+    # beta_c and beta_o do not depend on beta, so a grid solves each once
+    calls = []
+    solve = hamiltonian.solve_beta_o
+    monkeypatch.setattr(hamiltonian, "_CRITICAL", {})
+    monkeypatch.setattr(hamiltonian, "solve_beta_o",
+                        lambda model: calls.append(model.beta) or solve(model))
+    for k in range(7):
+        edge_f_solve(EdgeFModel("C3", 1.0 + 0.25 * k, 1.0, shift=2.0))
+    assert calls == [1.0]
 
 
 def test_beta_o_cases():

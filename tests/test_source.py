@@ -91,6 +91,27 @@ def test_only_planar_inverts_the_surrogate():
     assert found == []
 
 
+def test_only_motifs_and_planar_read_the_structure_off_a_plan():
+    # motifs.py classifies a motif once, and planar.Surrogate alone decides
+    # from that which motifs the surrogate covers; no other module may read
+    # a plan's regularity, isolated vertices or components
+    found = []
+    for path in SOURCES:
+        if path.name in ("motifs.py", "planar.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "regular", "iso", "components"):
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id == "plan") or (
+                        isinstance(owner, ast.Attribute)
+                        and owner.attr == "plan"):
+                    found.append("%s:%d .%s" % (path.name, node.lineno,
+                                                node.attr))
+    assert SOURCES
+    assert found == []
+
+
 HAMILTONIAN = ('{"family": ["K12", "C3"], "terms": ['
                '{"k": 0, "beta": 0.7, "gamma": 0.6}, '
                '{"k": 1, "beta": 0.4, "shift": 1.2, "gamma": 0.5}]}')
