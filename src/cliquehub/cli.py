@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import CapabilityError, CliqueHubError, DomainError, InternalError
 from .motifs import WeightTable, hom_density, load_json, resolve_motif
-from .planar import phi_region_emit, phi_solve
+from .planar import DEDUP_TOL, phi_region_emit, phi_solve
 from .hamiltonian import EdgeFModel, edge_f_solve, load_hamiltonian, psi_solve
 from .nmf import NmfProblem, nmf_solve, phi_np_solve
 from .sampler import run_experiment
@@ -370,7 +370,7 @@ def cmd_emit_figure(args, manifest):
     runner = None
     taken = [(o.a, o.b) for o in sol.optimizers]
     for a, b, obj in sorted(sol.candidates, key=lambda r: r[2]):
-        if any(abs(a - x) + abs(b - y) <= 1e-8 for x, y in taken):
+        if any(abs(a - x) + abs(b - y) <= DEDUP_TOL for x, y in taken):
             continue
         runner = (a, b, obj, 1, obj - sol.value)
         break

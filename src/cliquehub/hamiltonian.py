@@ -95,6 +95,14 @@ def validate_hamiltonian(spec):
     return ValidationReport(not errors, delta, errors, warnings)
 
 
+def checked_hamiltonian(spec):
+    rep = validate_hamiltonian(spec)
+    if not rep.ok:
+        raise DomainError("invalid hamiltonian: " + "; ".join(
+            m if i is None else "term %d: %s" % (i, m) for i, m in rep.errors))
+    return rep
+
+
 def _h_terms(spec, x, maximum):
     out = 0.0
     for t in spec.terms:
@@ -304,9 +312,7 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
 
 
 def psi_solve(spec, seed=0):
-    report = validate_hamiltonian(spec)
-    if not report.ok:
-        raise DomainError("invalid hamiltonian: %s" % report.errors)
+    report = checked_hamiltonian(spec)
     prog = PlanarProgram(spec.family, allow_mixed_max_degree=True)
     g = _direct_objective(spec, prog)
     size = _find_box(g)

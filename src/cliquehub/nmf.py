@@ -161,11 +161,6 @@ def overlay_sizes(n, p, delta, a, b, factor=1.0, rounding=math.floor):
     return k_clique, k_hub
 
 
-def clique_hub(n, p, delta, a, b):
-    """Overlay with the floored sizes of overlay_sizes."""
-    return clique_hub_sizes(n, p, *overlay_sizes(n, p, delta, a, b))
-
-
 # ---------------------------------------------------------------------------
 # objective, gradient, projected ascent
 
@@ -371,17 +366,12 @@ class PhiNpSolution:
     warnings: list = field(default_factory=list)
 
 
-_PHI_CACHE = {}
-
-
 def clear_phi_cache():
-    _PHI_CACHE.clear()
+    """Does nothing: phi_np_solve keeps no state between calls.
 
-
-def _phi_key(prob):
-    # keyed on the motifs themselves: a motif read from a file may carry a
-    # built-in motif's name
-    return (prob.family, prob.n, round(prob.p, 12))
+    perfbench/run.py still calls it before each in-process command; the next
+    benchmark change drops that call, and then this function.
+    """
 
 
 def _inflate_to_feasible(prob, active, Q0):
@@ -454,14 +444,14 @@ def _penalty_descent(prob, active, Q0):
     return Q
 
 
-def phi_np_solve(prob, extra_candidates=None):
+def phi_np_solve(prob):
     """Minimize Ent_p(Q) subject to t(F_k, Q/p) >= 1 + s_k for s_k > 0.
 
     Zero targets impose no constraint, so s = 0 returns exactly zero at
-    Q = p.  Clique-hub witnesses built from the limit optimizers, cached
-    solutions for dominating targets, and caller-provided candidates all
-    compete; the reported value is the best feasible entropy, which by
-    construction never exceeds any witness.
+    Q = p.  Clique-hub witnesses built from the limit optimizers compete
+    with a penalty descent started at the best of them; the reported value
+    is the best feasible entropy, which by construction never exceeds any
+    witness.  The answer depends on prob alone.
     """
     if prob.s is None:
         raise DomainError("phi_np_solve needs a target problem")
@@ -475,13 +465,7 @@ def phi_np_solve(prob, extra_candidates=None):
                             diagnostics={"candidates": [], "witness_value": 0.0})
         return sol
 
-    key = _phi_key(prob)
-    cached = _PHI_CACHE.get(key, [])
     candidates = []
-    for s_prev, _, Q_prev in cached:
-        if all(s_prev[k] >= sk for k, sk in enumerate(prob.s)):
-            candidates.append(("cache", np.array(Q_prev)))
-
     try:
         prog = PlanarProgram(prob.family, allow_mixed_max_degree=True)
         limit = prog.solve(prob.s)
@@ -496,18 +480,11 @@ def phi_np_solve(prob, extra_candidates=None):
             ch = clique_hub_sizes(n, p, ki, kj)
             fixed = _inflate_to_feasible(prob, active, ch.matrix())
             if fixed is not None:
-                ent = entropy(fixed, p)
-                witness_vals.append(ent)
+                witness_vals.append(entropy(fixed, p))
                 candidates.append(("witness(%d,%d)" % (ki, kj), fixed))
-    if extra_candidates is not None:
-        for idx, Q0 in enumerate(extra_candidates):
-            fixed = _inflate_to_feasible(prob, active, Q0)
-            if fixed is not None:
-                candidates.append(("extra%d" % idx, fixed))
 
-    seed_idx = int(np.argmin([entropy(q, p) for _, q in candidates])) \
-        if candidates else None
-    start = candidates[seed_idx][1] if candidates else np.ones_like(flat)
+    start = candidates[int(np.argmin(witness_vals))][1] if witness_vals \
+        else np.ones_like(flat)
     refined = _penalty_descent(prob, active, start)
     fixed = _inflate_to_feasible(prob, active, refined)
     if fixed is not None:
@@ -529,7 +506,6 @@ def phi_np_solve(prob, extra_candidates=None):
     label, value, Q, t, residual = best
     if any(value > w + 1e-9 for w in witness_vals):
         raise InternalError("witness dominance violated")
-    _PHI_CACHE.setdefault(key, []).append((tuple(prob.s), value, np.array(Q)))
     diag = {"candidates": rows, "selected": label,
             "witness_value": min(witness_vals) if witness_vals else None,
             "limit_value": limit.value, "rate": prob.rate}

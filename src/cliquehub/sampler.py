@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InternalError
-from .hamiltonian import (HamiltonianSpec, h_float, h_value, psi_solve,
-                          validate_hamiltonian)
+from .hamiltonian import (HamiltonianSpec, checked_hamiltonian, h_float,
+                          h_value, psi_solve)
 # hom_density_delta is reached through toggle_rule; the name stays here
 # because perfbench's tracer wraps it on this module
 from .motifs import (_as_matrix, hom_density, hom_density_delta, rate,
@@ -62,10 +62,7 @@ def _live_spec(spec):
             spec.family, allow_mixed_max_degree=True).delta
     live = HamiltonianSpec(tuple(spec.family), terms,
                            allow_degenerate=spec.allow_degenerate)
-    report = validate_hamiltonian(live)
-    if not report.ok:
-        raise DomainError("; ".join(m for _, m in report.errors))
-    return live, tuple(live.family), report.delta
+    return live, tuple(live.family), checked_hamiltonian(live).delta
 
 
 def chain_rng(seed, chain):

@@ -96,6 +96,21 @@ def test_non_finite_beta_is_a_domain_error(capsys, tmp_path):
         assert "finite" in err
 
 
+def test_invalid_hamiltonian_prints_one_line_on_every_command(capsys,
+                                                             tmp_path):
+    spec = HamiltonianSpec(("K12", "C3"), (HamiltonianTerm(0, 1.0, 1.0, 1.6),
+                                           HamiltonianTerm(1, -0.4, 1.0, 0.3)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(hamiltonian_to_json_dict(spec)))
+    ham = ["--hamiltonian", str(path)]
+    line = ("error:domain:invalid hamiltonian: term 0: growth condition "
+            "fails: gamma=1.6 not below 1 for motif K12; term 1: beta must "
+            "be positive\n")
+    for argv in (["psi"], ["nmf", "--n", "8", "--p", "0.2"],
+                 ["sample", "--n", "8", "--p", "0.2", "--sweeps", "1"]):
+        assert run_cli(capsys, argv + ham) == (1, "", line), argv[0]
+
+
 def test_non_finite_planar_target_is_a_domain_error(capsys):
     # phi-np takes the planar targets too; a NaN one activates no floor, so
     # it never reaches the planar solve
@@ -565,6 +580,14 @@ def test_phi_np_and_nmf_commands(capsys, tmp_path):
     phi_doc = json.loads(out)
     assert phi_doc["value"] <= phi_doc["witness_value"] + 1e-9
     assert phi_doc["residuals"] <= 1e-6
+
+
+def test_phi_np_rerun_in_one_process_prints_the_same(capsys):
+    argv = ["phi-np", "--n", "24", "--p", "0.3", "--motifs", "C3",
+            "--s", "1.0"]
+    first = run_cli(capsys, argv)
+    assert first[0] == 0
+    assert run_cli(capsys, argv) == first
 
 
 def motif_file(tmp_path, name, vertices, edges):

@@ -9,8 +9,6 @@ from cliquehub.motifs import hom_density
 from cliquehub.nmf import (
     CliqueHub,
     NmfProblem,
-    clear_phi_cache,
-    clique_hub,
     clique_hub_sizes,
     entropy,
     entropy_grad,
@@ -57,7 +55,7 @@ def test_entropy_grad_formula():
 
 
 def test_clique_hub_sizes_and_entropy():
-    ch = clique_hub(100, 0.1, 2, 4.0, 0.0)
+    ch = clique_hub_sizes(100, 0.1, *overlay_sizes(100, 0.1, 2, 4.0, 0.0))
     assert len(ch.clique) == 20
     assert abs(ch.entropy - 190 * math.log(10.0)) < 1e-9
 
@@ -92,7 +90,7 @@ def test_clique_hub_sizes_and_entropy():
     assert overlay_sizes(n, p, delta, a, 1e4) == (17, 83)
     # negative amplitudes are round-off and count as zero
     assert overlay_sizes(n, p, delta, -1e-12, -1e-12) == (0, 0)
-    ch = clique_hub(n, p, delta, -1e-12, b)
+    ch = clique_hub_sizes(n, p, *overlay_sizes(n, p, delta, -1e-12, b))
     assert ch.clique == () and len(ch.hub) == 2
 
 
@@ -180,7 +178,6 @@ def test_nmf_solve_needs_spec():
 
 
 def test_phi_zero_targets_exact():
-    clear_phi_cache()
     prob = NmfProblem(n=24, p=0.3, s=(0.0,), family=("C3",))
     sol = phi_np_solve(prob)
     assert sol.value == 0.0
@@ -189,7 +186,6 @@ def test_phi_zero_targets_exact():
 
 
 def test_phi_np_feasible_and_dominated():
-    clear_phi_cache()
     prob = NmfProblem(n=48, p=0.2, s=(1.0,), family=("C3",))
     sol = phi_np_solve(prob)
     assert sol.value > 0.0
@@ -202,7 +198,6 @@ def test_phi_np_feasible_and_dominated():
 
 
 def test_phi_np_monotone_chain_decreasing_solve():
-    clear_phi_cache()
     values = {}
     for s in (2.5, 2.0, 1.5, 1.0, 0.5):
         prob = NmfProblem(n=32, p=0.25, s=(s,), family=("C3",))
@@ -212,40 +207,18 @@ def test_phi_np_monotone_chain_decreasing_solve():
         assert values[lo] <= values[hi] + 1e-12
 
 
-def test_phi_np_cache_candidates():
-    clear_phi_cache()
-    prob_hi = NmfProblem(n=24, p=0.3, s=(2.0,), family=("C3",))
-    phi_np_solve(prob_hi)
-    prob_lo = NmfProblem(n=24, p=0.3, s=(1.0,), family=("C3",))
-    sol = phi_np_solve(prob_lo)
-    labels = [row["label"] for row in sol.diagnostics["candidates"]]
-    assert "cache" in labels
+def test_phi_np_answers_from_its_problem_alone():
+    def solve(s):
+        sol = phi_np_solve(NmfProblem(n=24, p=0.3, s=(s,), family=("C3",)))
+        return sol.value, sol.diagnostics, sol.table.to_bytes()
 
-
-def test_phi_np_extra_candidates():
-    clear_phi_cache()
-    prob = NmfProblem(n=24, p=0.3, s=(1.0,), family=("C3",))
-    # hand the solver an exactly feasible uniform matrix
-    target = 2.0
-    flat = np.full((24, 24), 0.3)
-    np.fill_diagonal(flat, 0.0)
-    lo, hi = 0.3, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        q = np.full((24, 24), mid)
-        np.fill_diagonal(q, 0.0)
-        if hom_density(prob.family[0], q, scale=0.3) >= target:
-            hi = mid
-        else:
-            lo = mid
-    q = np.full((24, 24), hi)
-    np.fill_diagonal(q, 0.0)
-    sol = phi_np_solve(prob, extra_candidates=[q])
-    assert sol.value <= entropy(q, 0.3) + 1e-9
+    first = solve(1.0)
+    solve(2.0)  # a larger target solved in between changes nothing
+    assert solve(1.0) == first
+    assert solve(1.0) == first
 
 
 def test_stability_probe_planted_hub():
-    clear_phi_cache()
     prob = NmfProblem(n=64, p=0.5, s=(2.0,), family=("C3",))
     # the limit optimizer is (0, 2/3), so the overlay hub holds 10 rows
     planted = clique_hub_sizes(64, 0.5, 0, 10)
@@ -255,14 +228,12 @@ def test_stability_probe_planted_hub():
 
 
 def test_stability_probe_planted_clique():
-    clear_phi_cache()
     prob = NmfProblem(n=100, p=0.3, s=(8.0,), family=("C3",))
     probe = stability_probe(prob, clique_hub_sizes(100, 0.3, 60, 0).table())
     assert probe["distance"] < 1e-12
 
 
 def test_stability_probe_shifted_overlay_positive():
-    clear_phi_cache()
     prob = NmfProblem(n=64, p=0.5, s=(2.0,), family=("C3",))
     q = random_symmetric(64, 0.2, 0.8, seed=11)
     probe = stability_probe(prob, q)
