@@ -3,9 +3,9 @@
 A Hamiltonian is h(x) = sum_k beta_k * (x_k - c_k)_+^(gamma_k) over the
 densities of a motif family.  The growth condition gamma_k < Delta / e(F_k)
 (strict) keeps the planar objective h(T(a, b)) - a/2 - b bounded above; the
-value psi is its supremum, computed directly in the (a, b) plane, which also
-gives the optimizers, and certified through the dual
-sup_s { h(1 + s) - phi(s) }.
+value psi is its supremum, computed directly in the (a, b) plane by
+direct_route, which alone gives the optimizers, and certified through the
+dual sup_s { h(1 + s) - phi(s) } in psi_solve.
 
 The single-motif model with f(x) = (x - shift)_+^(gamma / e(F)) gets a
 dedicated solver that locates the hub/clique branch maximizers, the branch
@@ -95,11 +95,15 @@ def validate_hamiltonian(spec):
     return ValidationReport(not errors, delta, errors, warnings)
 
 
-def checked_hamiltonian(spec):
+def checked_hamiltonian(spec, positions=None):
+    """The validation report, or a DomainError naming every error.  Term i
+    is reported as positions[i], its place in the caller's term list."""
     rep = validate_hamiltonian(spec)
     if not rep.ok:
         raise DomainError("invalid hamiltonian: " + "; ".join(
-            m if i is None else "term %d: %s" % (i, m) for i, m in rep.errors))
+            m if i is None else "term %d: %s" % (
+                i if positions is None else positions[i], m)
+            for i, m in rep.errors))
     return rep
 
 
@@ -311,7 +315,25 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev):
     return sim[0], np.min(fsim), nfev, nit
 
 
-def psi_solve(spec, seed=0):
+@dataclass
+class DirectRoute:
+    value: float
+    optimizers: list        # (a, b) pairs
+    s_star: list            # excess vectors at the optimizers
+    points: list            # (a, b, value) where each simplex run ended
+    program: PlanarProgram
+    warnings: list
+
+
+def direct_route(spec):
+    """psi's direct route alone: the sup of g(a, b) = h(T(a, b)) - a/2 - b
+    over a, b >= 0 and the points that attain it.
+
+    Nelder-Mead runs from the ten best grid points and from the maxima on
+    the two axes give the value.  The optimizers are the runs that reach it
+    plus the planar optimizers at their excess vectors, with near-duplicates
+    merged, so they need nothing from the dual route.
+    """
     report = checked_hamiltonian(spec)
     prog = PlanarProgram(spec.family, allow_mixed_max_degree=True)
     g = _direct_objective(spec, prog)
@@ -331,7 +353,7 @@ def psi_solve(spec, seed=0):
     def neg(u):
         return -g(u[0] * u[0], u[1] * u[1])
 
-    best = -np.inf
+    psi_direct = -np.inf
     direct_pts = []
     for a0, b0 in starts:
         x, fun, _, _ = _nelder_mead(neg, [math.sqrt(a0), math.sqrt(b0)],
@@ -340,46 +362,8 @@ def psi_solve(spec, seed=0):
         a, b = x[0] ** 2, x[1] ** 2
         val = -fun
         direct_pts.append((a, b, val))
-        best = max(best, val)
-    psi_direct = best
+        psi_direct = max(psi_direct, val)
 
-    # dual route: sup of h(1 + s) - phi(s) over the nonnegative orthant; it
-    # certifies psi through the gap and contributes no optimizer
-    m = len(prog.surrogates)
-
-    def dual_val(s):
-        if not np.all(np.isfinite(s)) or s.max(initial=0.0) > 1e100:
-            return -math.inf
-        return float(h_value(spec, 1.0 + s) - prog.solve(s).value)
-
-    def neg_dual(u):
-        return -dual_val(u * u)
-
-    rng = np.random.default_rng(seed)
-    dual_starts = [np.maximum(prog.excess(a, b), 0.0)
-                   for a, b, val in direct_pts[:2]]
-    dual_starts.append(np.zeros(m))
-    dual_starts.append(np.ones(m))
-    for _ in range(2):
-        dual_starts.append(rng.uniform(0.0, 4.0, size=m) ** 2)
-    explored = []
-    for s0 in dual_starts:
-        x, fun, _, _ = _nelder_mead(neg_dual, np.sqrt(np.maximum(s0, 0.0)),
-                                    xatol=1e-6, fatol=1e-10,
-                                    maxiter=400, maxfev=400)
-        explored.append((fun, x))
-    explored.sort(key=lambda t: t[0])
-    psi_dual = -np.inf
-    for fun0, x0 in explored[:2]:
-        fun = _nelder_mead(neg_dual, x0, xatol=1e-10, fatol=1e-14,
-                           maxiter=1500, maxfev=1500)[1]
-        psi_dual = max(psi_dual, -fun)
-
-    psi = max(psi_direct, psi_dual)
-
-    # the optimizer set comes from the direct route alone, so it does not
-    # depend on the dual's seeded starts: the direct winners plus the planar
-    # optimizers at their excess vectors
     cands = [(a, b) for a, b, val in direct_pts]
     for a, b, val in direct_pts:
         if val < psi_direct - 1e-6 * (1.0 + abs(psi_direct)):
@@ -400,13 +384,54 @@ def psi_solve(spec, seed=0):
     s_star = _distinct(
         [tuple(float(x) for x in prog.excess(a, b)) for a, b in opts], radius)
 
-    h1 = h_at_one(spec)
     warnings = list(report.warnings)
     if len(opts) > 16:
         warnings.append("optimizer count exceeds 16; the set may be a continuum")
-    gap = abs(psi_direct - psi_dual)
-    return PsiSolution(psi, psi_direct, psi_dual, gap, opts, s_star,
-                       h1, psi - h1, warnings)
+    return DirectRoute(psi_direct, opts, s_star, direct_pts, prog, warnings)
+
+
+def psi_solve(spec, seed=0):
+    """psi by both routes: direct_route in the (a, b) plane, which alone
+    gives the optimizers, and the dual sup_s {h(1 + s) - phi(s)} over the
+    nonnegative orthant, which certifies psi through the gap.  The seed
+    moves only the dual's random starts."""
+    direct = direct_route(spec)
+    prog = direct.program
+    m = len(prog.surrogates)
+
+    def dual_val(s):
+        if not np.all(np.isfinite(s)) or s.max(initial=0.0) > 1e100:
+            return -math.inf
+        return float(h_value(spec, 1.0 + s) - prog.solve(s).value)
+
+    def neg_dual(u):
+        return -dual_val(u * u)
+
+    rng = np.random.default_rng(seed)
+    dual_starts = [np.maximum(prog.excess(a, b), 0.0)
+                   for a, b, val in direct.points[:2]]
+    dual_starts.append(np.zeros(m))
+    dual_starts.append(np.ones(m))
+    for _ in range(2):
+        dual_starts.append(rng.uniform(0.0, 4.0, size=m) ** 2)
+    explored = []
+    for s0 in dual_starts:
+        x, fun, _, _ = _nelder_mead(neg_dual, np.sqrt(np.maximum(s0, 0.0)),
+                                    xatol=1e-6, fatol=1e-10,
+                                    maxiter=400, maxfev=400)
+        explored.append((fun, x))
+    explored.sort(key=lambda t: t[0])
+    psi_dual = -np.inf
+    for fun0, x0 in explored[:2]:
+        fun = _nelder_mead(neg_dual, x0, xatol=1e-10, fatol=1e-14,
+                           maxiter=1500, maxfev=1500)[1]
+        psi_dual = max(psi_dual, -fun)
+
+    psi = max(direct.value, psi_dual)
+    h1 = h_at_one(spec)
+    gap = abs(direct.value - psi_dual)
+    return PsiSolution(psi, direct.value, psi_dual, gap, direct.optimizers,
+                       direct.s_star, h1, psi - h1, direct.warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
-from .hamiltonian import h_value, psi_solve
+# psi_solve is not called here; perfbench's tracer wraps it on this module
+from .hamiltonian import direct_route, h_value, psi_solve  # noqa: F401
 from .motifs import (WeightTable, _as_matrix, hom_density, hom_density_grad,
                      rate, resolve_motif, validate_family)
 from .planar import PlanarProgram, PlanarSolution
@@ -270,8 +271,7 @@ def _warm_starts(prob, seed):
     witnesses = []
     warnings = []
     try:
-        psi = psi_solve(prob.spec)
-        for a, b in psi.optimizers:
+        for a, b in direct_route(prob.spec).optimizers:
             for f in (0.8, 1.0, 1.2):
                 ch = clique_hub_sizes(
                     n, p, *overlay_sizes(n, p, prob.delta, a, b, factor=f))

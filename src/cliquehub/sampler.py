@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InternalError
-from .hamiltonian import (HamiltonianSpec, checked_hamiltonian, h_float,
-                          h_value, psi_solve)
+# psi_solve is not called here; perfbench's tracer wraps it on this module
+from .hamiltonian import (HamiltonianSpec, checked_hamiltonian, direct_route,
+                          h_float, h_value, psi_solve)  # noqa: F401
 # hom_density_delta is reached through toggle_rule; the name stays here
 # because perfbench's tracer wraps it on this module
 from .motifs import (_as_matrix, hom_density, hom_density_delta, rate,
@@ -56,13 +57,15 @@ def _live_spec(spec):
     """
     if spec is None:
         return None, (), None
-    terms = tuple(t for t in spec.terms if t.beta != 0.0)
-    if not terms:
+    kept = [i for i, t in enumerate(spec.terms) if t.beta != 0.0]
+    if not kept:
         return None, tuple(spec.family), validate_family(
             spec.family, allow_mixed_max_degree=True).delta
-    live = HamiltonianSpec(tuple(spec.family), terms,
+    live = HamiltonianSpec(tuple(spec.family),
+                           tuple(spec.terms[i] for i in kept),
                            allow_degenerate=spec.allow_degenerate)
-    return live, tuple(live.family), checked_hamiltonian(live).delta
+    # errors name each term by its place in the caller's list
+    return live, tuple(live.family), checked_hamiltonian(live, kept).delta
 
 
 def chain_rng(seed, chain):
@@ -603,10 +606,10 @@ def run_experiment(config):
                if delta is not None else None}
     if live is not None:
         try:
-            psi = psi_solve(live)
-            summary["limit_optimizers"] = psi.optimizers
+            limit = direct_route(live)
+            summary["limit_optimizers"] = limit.optimizers
             summary["target_sizes"] = [overlay_sizes(n, p, delta, a, b)
-                                       for a, b in psi.optimizers]
+                                       for a, b in limit.optimizers]
         except (DomainError, CapabilityError) as err:  # reported, not fatal
             summary["limit_error"] = str(err)
     return ExperimentResult(columns=columns, rows=rows, summary=summary,

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from cliquehub import cli, finner, sampler
+from cliquehub import cli, finner, nmf, sampler
 from cliquehub.errors import DegeneracyError, DomainError, InternalError
 from cliquehub.motifs import WeightTable, er_table, motif_from_name
 from cliquehub.hamiltonian import (HamiltonianSpec, HamiltonianTerm,
@@ -111,6 +111,25 @@ def test_invalid_hamiltonian_prints_one_line_on_every_command(capsys,
         assert run_cli(capsys, argv + ham) == (1, "", line), argv[0]
 
 
+def test_sample_numbers_invalid_terms_by_their_place_in_the_file(capsys,
+                                                                 tmp_path):
+    # sample drops zero-beta terms before it validates the rest; an error
+    # still names the term by its place in the file, as psi does
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(
+        {"family": ["K12", "C3"],
+         "terms": [{"k": 0, "beta": 0.0, "gamma": 0.5},
+                   {"k": 1, "beta": 1.0, "gamma": 0.9}]}))
+    code, out, err = run_cli(capsys, ["sample", "--n", "8", "--p", "0.2",
+                                      "--sweeps", "1", "--hamiltonian",
+                                      str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == ("error:domain:invalid hamiltonian: term 1: growth "
+                   "condition fails: gamma=0.9 not below 0.666667 for motif "
+                   "C3\n")
+
+
 def test_non_finite_planar_target_is_a_domain_error(capsys):
     # phi-np takes the planar targets too; a NaN one activates no floor, so
     # it never reaches the planar solve
@@ -191,7 +210,7 @@ def test_sample_limit_solve_errors(capsys, monkeypatch, tmp_path):
     def degenerate(*args, **kwargs):
         raise DegeneracyError("flat objective")
 
-    monkeypatch.setattr(sampler, "psi_solve", degenerate)
+    monkeypatch.setattr(sampler, "direct_route", degenerate)
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     assert json.loads(out)["summary"]["limit_error"] == "flat objective"
@@ -199,7 +218,32 @@ def test_sample_limit_solve_errors(capsys, monkeypatch, tmp_path):
     def broken(*args, **kwargs):
         raise InternalError("invariant broke")
 
-    monkeypatch.setattr(sampler, "psi_solve", broken)
+    monkeypatch.setattr(sampler, "direct_route", broken)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error:internal:invariant broke\n"
+
+
+def test_nmf_limit_solve_errors(capsys, monkeypatch, tmp_path):
+    # a degenerate limit problem only drops the overlay starts; a broken
+    # invariant inside the solve is not turned into a warning
+    argv = ["nmf", "--n", "8", "--p", "0.3", "--hamiltonian",
+            triangle_file(tmp_path)]
+
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError("flat objective")
+
+    monkeypatch.setattr(nmf, "direct_route", degenerate)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["warnings"] == [
+        "objective degenerate in the limit; overlay starts skipped"]
+
+    def broken(*args, **kwargs):
+        raise InternalError("invariant broke")
+
+    monkeypatch.setattr(nmf, "direct_route", broken)
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""

@@ -208,6 +208,69 @@ def test_psi_optimizers_do_not_depend_on_the_seed():
     assert sol0.s_star == sol7.s_star
 
 
+def sample_tilted_spec(seed):
+    # the K12+C3 Hamiltonian the sampling benchmark writes for this seed
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(0,)))
+    terms = []
+    for k, gamma_range in enumerate(((0.4, 0.8), (0.3, 0.55))):
+        beta, shift, gamma = (float("%.6g" % rng.uniform(*r))
+                              for r in ((0.3, 0.8), (0.9, 1.2), gamma_range))
+        terms.append(HamiltonianTerm(k, beta, shift, gamma))
+    return HamiltonianSpec(("K12", "C3"), tuple(terms))
+
+
+def c3_at_beta_c(gamma):
+    beta_c = solve_beta_c(EdgeFModel("C3", 1.0, gamma))
+    return HamiltonianSpec(("C3",), (HamiltonianTerm(0, beta_c, 1.0,
+                                                     gamma / 3),))
+
+
+@pytest.mark.parametrize("make, arg", [(sample_tilted_spec, seed)
+                                       for seed in range(10)]
+                         + [(c3_at_beta_c, gamma)
+                            for gamma in (0.3, 0.75, 1.2, 1.5, 1.8)])
+def test_direct_route_gives_psis_optimizers(make, arg):
+    # psi's optimizers come from the direct route alone, whatever the
+    # dual's seed
+    spec = make(arg)
+    direct = hamiltonian.direct_route(spec)
+    for seed in (0, 1, 7):
+        sol = psi_solve(spec, seed=seed)
+        assert sol.psi_direct == direct.value
+        assert sol.optimizers == direct.optimizers
+        assert sol.s_star == direct.s_star
+        assert sol.warnings == direct.warnings
+
+
+def test_sample_and_nmf_make_no_dual_planar_solves(monkeypatch):
+    # sample and nmf read only psi's optimizers, so they make the planar
+    # solves of the direct route (one per winning run) and not the dual's
+    # thousand or more
+    from cliquehub.nmf import NmfProblem, nmf_solve
+    from cliquehub.planar import PlanarProgram
+    from cliquehub.sampler import run_experiment
+
+    calls = []
+    solve = PlanarProgram.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanarProgram, "solve", counted)
+    spec = sample_tilted_spec(0)
+    hamiltonian.direct_route(spec)
+    winners = len(calls)
+    assert 1 <= winners <= 12
+    del calls[:]
+    run_experiment(dict(n=12, p=0.2, sweeps=1, spec=spec))
+    assert len(calls) == winners
+    del calls[:]
+    nmf_solve(NmfProblem(n=10, p=0.2, spec=spec), max_iter=5)
+    assert len(calls) == winners
+
+
 def test_nelder_mead_repeats_scipy_bit_for_bit(monkeypatch):
     # psi's simplex search repeats scipy's Nelder-Mead step for step; run
     # both on every search one psi solve makes (direct starts, dual

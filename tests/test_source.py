@@ -112,6 +112,26 @@ def test_only_motifs_and_planar_read_the_structure_off_a_plan():
     assert found == []
 
 
+def test_only_the_cli_runs_psis_dual_route():
+    # sample and nmf need only psi's optimizers, which direct_route gives;
+    # psi_solve adds the dual route, which only the psi command reports.
+    # Importing psi_solve is not calling it.
+    found = []
+    for path in SOURCES:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if name == "psi_solve":
+                    found.append("%s:%d psi_solve(" % (path.name,
+                                                      node.lineno))
+    assert SOURCES
+    assert found == []
+
+
 HAMILTONIAN = ('{"family": ["K12", "C3"], "terms": ['
                '{"k": 0, "beta": 0.7, "gamma": 0.6}, '
                '{"k": 1, "beta": 0.4, "shift": 1.2, "gamma": 0.5}]}')
