@@ -393,8 +393,20 @@ def cmd_emit_figure(args, manifest):
 # parser assembly and dispatch
 
 
+def _seed(text):
+    """--seed: numpy's SeedSequence takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            "invalid seed %r: want a non-negative integer" % text)
+    return value
+
+
 def _common(sub):
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--out", default=None, help="directory for emitted files")
 
 
@@ -499,6 +511,7 @@ def main(argv=None):
     manifest = Manifest(argv, args, out_dir=getattr(args, "out", None))
     try:
         code = args.func(args, manifest)
+        manifest.finish()
     except CapabilityError as exc:
         sys.stderr.write("error:capability:%s\n"
                          % str(exc).replace("\n", " "))
@@ -507,13 +520,10 @@ def main(argv=None):
         sys.stderr.write("error:internal:%s\n"
                          % str(exc).replace("\n", " "))
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, CliqueHubError) as exc:
+        # a path that is missing, a directory, or under a plain file
         sys.stderr.write("error:domain:%s\n" % str(exc).replace("\n", " "))
         return 1
-    except CliqueHubError as exc:
-        sys.stderr.write("error:domain:%s\n" % str(exc).replace("\n", " "))
-        return 1
-    manifest.finish()
     return code
 
 

@@ -22,17 +22,40 @@ from .planar import PlanarProgram, PlanarSolution
 
 N_CAP = 256
 EPS_CLIP = 1e-9
+DBL_MIN = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
 # entropy
 
 
+def rel_entr(x, y):
+    """x log(x/y) elementwise, branch for branch as scipy.special.rel_entr:
+    NaN in gives NaN, x = 0 with y >= 0 gives 0, and any other x <= 0 or
+    y <= 0 gives +inf."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    out = np.where(np.isnan(x) | np.isnan(y), np.nan,
+                   np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf))
+    ok = (x > 0.0) & (y > 0.0)
+    x, y = x[ok], y[ok]
+    value = np.empty_like(x)
+    # log1p is more accurate where x and y are close; where x/y underflows
+    # or overflows, the logarithms are taken first
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = x / y
+        near = (0.5 < ratio) & (ratio < 2.0)
+        value[near] = x[near] * np.log1p((x[near] - y[near]) / y[near])
+        plain = ~near & (ratio > DBL_MIN) & (ratio < np.inf)
+        value[plain] = x[plain] * np.log(ratio[plain])
+        far = ~near & ~plain
+        value[far] = x[far] * (np.log(x[far]) - np.log(y[far]))
+    out[ok] = value
+    return out
+
+
 def relative_entropy(q, p):
     """I_p(q) = q log(q/p) + (1-q) log((1-q)/(1-p)), elementwise."""
-    # imported here to keep scipy off the start-up path of the CLI
-    from scipy.special import rel_entr
-
     q = np.asarray(q, dtype=float)
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 

@@ -246,9 +246,6 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
     function on the absolute scale, and the exact distribution over states
     (bit k of the state index is pair k of combinations(range(n), 2)).
     """
-    # imported here to keep scipy off the start-up path of the CLI
-    from scipy.special import logsumexp
-
     if n > ENUM_MAX_VERTICES:
         raise CapabilityError("exact enumeration supports n <= %d"
                               % ENUM_MAX_VERTICES)
@@ -266,7 +263,8 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
         tilt = np.array([min(CLAMP, max(-CLAMP, r * hs)) for hs in h])
         log_w = log_base + tilt
         if engine == "logsumexp":
-            lam = float(logsumexp(log_w))
+            top = float(log_w.max())
+            lam = top + math.log(float(np.exp(log_w - top).sum()))
         elif engine == "direct":
             total = 0.0
             for s in range(states):

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -923,3 +924,61 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("command", [
+    ["psi", "--hamiltonian", "{ham}"],
+    ["nmf", "--n", "8", "--p", "0.2", "--hamiltonian", "{ham}"],
+    ["sample", "--n", "8", "--p", "0.2", "--sweeps", "1",
+     "--hamiltonian", "{ham}"],
+    ["finner-check", "--suite", "random", "--count", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(capsys, tmp_path, command):
+    # numpy's SeedSequence refuses negative entropy; the parser refuses it
+    # first, with one usage line
+    ham = triangle_file(tmp_path)
+    argv = [a.format(ham=ham) for a in command] + ["--seed", "-1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage:")
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert err.splitlines()[-1].startswith("error:usage:argument --seed:")
+
+
+def test_unusable_paths_are_domain_errors(capsys, tmp_path):
+    # a directory where a file is read or written, a plain file where a
+    # directory is made, and a path under a plain file: each is one
+    # error:domain: line
+    ham = triangle_file(tmp_path)
+    folder = str(tmp_path / "dir")
+    os.mkdir(folder)
+    plain = str(tmp_path / "plain")
+    open(plain, "w").close()
+    under = os.path.join(plain, "sub")
+    # the run record goes next to the emitted file
+    record = str(tmp_path / "manifest.json")
+    os.mkdir(record)
+    cases = [
+        (["hom-density", "--motif", "C3", "--table", folder],
+         errno.EISDIR, folder),
+        (["psi", "--hamiltonian", folder], errno.EISDIR, folder),
+        (["finner-check", "--instance", folder], errno.EISDIR, folder),
+        (["planar-phi", "--motifs", "C3", "--s", "1.0", "--out", plain,
+          "--emit-region", "r.csv"], errno.EEXIST, plain),
+        (["emit-figure", "--scenario", "fig2A", "--out", os.devnull],
+         errno.EEXIST, os.devnull),
+        (["sample", "--n", "8", "--p", "0.2", "--sweeps", "1",
+          "--hamiltonian", ham, "--out", under, "--emit-traj", "t.csv"],
+         errno.ENOTDIR, under),
+    ]
+    for argv, code, path in cases:
+        line = "error:domain:[Errno %d] %s: %r\n" % (code, os.strerror(code),
+                                                     path)
+        assert run_cli(capsys, argv) == (1, "", line), argv
+    # the run record is written last, after the result line
+    code, out, err = run_cli(capsys, ["planar-phi", "--motifs", "C3", "--s",
+                                      "1.0", "--emit-region",
+                                      str(tmp_path / "r.csv")])
+    assert (code, err) == (1, "error:domain:[Errno %d] %s: %r\n"
+                           % (errno.EISDIR, os.strerror(errno.EISDIR),
+                              record))

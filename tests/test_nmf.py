@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from cliquehub.errors import CapabilityError, DomainError
 from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm
@@ -17,6 +18,7 @@ from cliquehub.nmf import (
     nmf_solve,
     overlay_sizes,
     phi_np_solve,
+    rel_entr,
     relative_entropy,
     stability_probe,
     _project,
@@ -40,6 +42,54 @@ def test_relative_entropy_examples():
     assert relative_entropy(0.3, 0.3) == 0.0
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert abs(entropy(pair, 0.5) - math.log(2.0)) < 1e-14
+
+
+def _rel_entr_draws():
+    """About 10^5 (x, y) pairs over every branch of rel_entr."""
+    rng = np.random.default_rng(19)
+    y = rng.uniform(1e-3, 1.0, 10000)
+    near = np.concatenate([np.nextafter(0.5, 0.0) * y, 0.5 * y,
+                           np.nextafter(0.5, 1.0) * y,
+                           np.nextafter(2.0, 0.0) * y, 2.0 * y,
+                           np.nextafter(2.0, 4.0) * y])
+    tiny = 10.0 ** rng.uniform(-320.0, -300.0, 5000)
+    huge = 10.0 ** rng.uniform(300.0, 305.0, 5000)
+    x = np.concatenate([rng.random(30000), near, tiny, huge,
+                        10.0 ** rng.uniform(-300.0, 300.0, 10000)])
+    y = np.concatenate([rng.random(30000), np.tile(y, 6), huge, tiny,
+                        10.0 ** rng.uniform(-300.0, 300.0, 10000)])
+    return x, y
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_rel_entr_agrees_with_scipy():
+    x, y = _rel_entr_draws()
+    got, want = rel_entr(x, y), scipy.special.rel_entr(x, y)
+    assert np.all(np.isfinite(want))
+    assert np.max(_ulps(got, want)) <= 4.0
+    # x = 0, and the inputs outside the domain, give identical values
+    odd = np.array([0.0, -0.0, -1.0, 1.0, np.nan, np.inf, 1e-300, 1e300])
+    xs, ys = np.meshgrid(odd, odd)
+    np.testing.assert_array_equal(rel_entr(xs, ys),
+                                  scipy.special.rel_entr(xs, ys))
+    zero = np.zeros(1000)
+    np.testing.assert_array_equal(rel_entr(zero, y[:1000]), zero)
+
+
+def test_relative_entropy_agrees_with_scipy():
+    # the two terms cancel near q = p, so the bound is on their magnitudes
+    rng = np.random.default_rng(20)
+    p = rng.uniform(1e-6, 1.0 - 1e-6, 100000)
+    q = np.concatenate([rng.random(90000), np.zeros(2500), np.ones(2500),
+                        p[95000:]])
+    t1 = scipy.special.rel_entr(q, p)
+    t2 = scipy.special.rel_entr(1.0 - q, 1.0 - p)
+    got = relative_entropy(q, p)
+    assert np.all(np.abs(got - (t1 + t2))
+                  <= 4.0 * np.spacing(np.abs(t1) + np.abs(t2)))
 
 
 def test_entropy_grad_formula():

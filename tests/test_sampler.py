@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 from cliquehub.errors import DomainError, InternalError
 from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm, h_value
@@ -15,6 +16,7 @@ from cliquehub.sampler import (
     _probability_table,
     _sample_bytes,
     _sigmoid,
+    _state_tables,
     almost_certificate,
     chain_rng,
     detect_structure,
@@ -74,6 +76,22 @@ def test_enumeration_engines_agree():
             if beta == 0.0:
                 assert a.lam == 0.0
                 assert b.lam == 0.0
+
+
+def test_enumeration_log_sum_exp_matches_scipy():
+    # the max-shifted log-sum-exp against scipy's on the criterion-6 specs
+    n = 4
+    for p in (0.3, 0.5):
+        for beta in (0.0, 1.0):
+            spec = triangle_spec(beta)
+            live, pairs, _, h, r = _state_tables(n, p, spec)
+            m = len(pairs)
+            edges = np.array([bin(s).count("1") for s in range(1 << m)])
+            log_w = edges * math.log(p) + (m - edges) * math.log1p(-p)
+            if live is not None:
+                log_w = log_w + np.clip(r * np.array(h), -CLAMP, CLAMP)
+            lam = exact_enumerate(n, p, spec).lam
+            assert abs(lam - scipy.special.logsumexp(log_w)) <= 1e-13
 
 
 def test_enumeration_zero_hamiltonian_on_two_vertices():
