@@ -1,10 +1,16 @@
 """Command-line entry point wiring all solvers and emitters together.
 
-Every run is deterministic: randomness flows from --seed, and sub-streams
-are split with numpy's SeedSequence(entropy=seed, spawn_key=(k,)).  Emitted
-CSV and JSON files format floats with Python's shortest round-trip repr, so
-reruns with the same inputs are byte-identical; a manifest.json records the
-resolved configuration and a sha256 digest per output file.
+Every run is deterministic: all randomness flows from --seed.  `sample`
+gives chain k a Philox stream on SeedSequence(entropy=seed, spawn_key=(k,)),
+`finner-check --suite` draws instance k from default_rng on the same
+sub-seed, and `psi` (dual starts) and `nmf` (random starts) draw from
+default_rng(seed); the other commands draw nothing.  Emitted CSV and JSON
+files format floats with Python's shortest round-trip repr, so reruns with
+the same inputs are byte-identical; a manifest.json records the resolved
+configuration and a sha256 digest per output file.
+
+Each subcommand returns (exit code, payload); main writes the manifest and
+only then prints the payload, so stdout holds one JSON line or nothing.
 
 Exit codes: 0 success, 1 domain or validation problem, 2 capability limit,
 3 a broken internal invariant.
@@ -28,7 +34,7 @@ from .motifs import WeightTable, hom_density, load_json, resolve_motif
 from .planar import DEDUP_TOL, phi_region_emit, phi_solve
 from .hamiltonian import EdgeFModel, edge_f_solve, load_hamiltonian, psi_solve
 from .nmf import NmfProblem, nmf_solve, phi_np_solve
-from .sampler import run_experiment
+from .sampler import DELTA_HUB, XI, run_experiment
 from . import finner
 
 
@@ -68,7 +74,7 @@ def _py(obj):
     return obj
 
 
-def _emit(args, payload):
+def _emit(payload):
     """Stdout is always one line of compact JSON."""
     print(json.dumps(_py(payload), separators=(",", ":")))
 
@@ -90,8 +96,7 @@ class Manifest:
         self.seed = getattr(args, "seed", None)
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.out_dir = out_dir
-        self.files = {}
-        self.paths = []
+        self.files = {}  # path as written -> sha256
 
     def resolve(self, name):
         if self.out_dir is not None:
@@ -100,8 +105,7 @@ class Manifest:
         return name
 
     def add(self, path):
-        self.files[os.path.basename(path)] = _sha256(path)
-        self.paths.append(path)
+        self.files[path] = _sha256(path)
 
     def write_text(self, name, text):
         path = self.resolve(name)
@@ -130,9 +134,18 @@ class Manifest:
     def finish(self):
         if not self.files:
             return None
+        if self.out_dir is not None:
+            folder = self.out_dir
+        else:
+            # without --out the record goes next to the first file it hashes
+            folder = os.path.dirname(next(iter(self.files)))
+        # keys are relative to the record, so files with one basename in
+        # two folders keep their own digests
+        files = {os.path.relpath(path, folder or os.curdir): digest
+                 for path, digest in self.files.items()}
         combined = hashlib.sha256()
-        for name in sorted(self.files):
-            combined.update(("%s:%s\n" % (name, self.files[name])).encode())
+        for name in sorted(files):
+            combined.update(("%s:%s\n" % (name, files[name])).encode())
         body = {
             "command": self.command,
             "config": self.config,
@@ -141,16 +154,10 @@ class Manifest:
             "started": self.started,
             "finished": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
-            "files": self.files,
+            "files": files,
             "digest": combined.hexdigest(),
         }
-        if self.out_dir is not None:
-            path = self.resolve("manifest.json")
-        else:
-            # without --out the record goes next to the files it hashes,
-            # never into the current directory
-            path = os.path.join(os.path.dirname(self.paths[0]),
-                                "manifest.json")
+        path = os.path.join(folder, "manifest.json")
         with open(path, "w") as fh:
             json.dump(body, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -184,10 +191,8 @@ def cmd_hom_density(args, manifest):
     motif = resolve_motif(args.motif)
     table = _load_table(args.table)
     value = hom_density(motif, table, scale=args.scale, engine=args.engine)
-    payload = {"motif": motif.name, "n": table.n, "scale": args.scale,
+    return 0, {"motif": motif.name, "n": table.n, "scale": args.scale,
                "value": value}
-    _emit(args, payload)
-    return 0
 
 
 def _write_region(manifest, motifs, s, region_name, curves_name):
@@ -208,25 +213,19 @@ def cmd_planar_phi(args, manifest):
     motifs = _motif_list(args.motifs)
     s = _float_list(args.s)
     sol = phi_solve(motifs, s)
-    payload = {"value": float(sol.value),
-               "optimizers": [[float(o.a), float(o.b)]
-                              for o in sol.optimizers]}
     if args.emit_region or args.emit_curves:
         _write_region(manifest, motifs, s, args.emit_region, args.emit_curves)
-    _emit(args, payload)
-    return 0
+    return 0, {"value": sol.value,
+               "optimizers": [[o.a, o.b] for o in sol.optimizers]}
 
 
 def cmd_psi(args, manifest):
     spec = load_hamiltonian(args.hamiltonian)
     sol = psi_solve(spec, seed=args.seed)
-    payload = {"psi": sol.psi, "psi_direct": sol.psi_direct,
+    return 0, {"psi": sol.psi, "psi_direct": sol.psi_direct,
                "psi_dual": sol.psi_dual, "duality_gap": sol.duality_gap,
-               "optimizers": [list(o) for o in sol.optimizers],
-               "s_star": [list(v) for v in sol.s_star],
-               "warnings": list(sol.warnings)}
-    _emit(args, payload)
-    return 0
+               "optimizers": sol.optimizers, "s_star": sol.s_star,
+               "warnings": sol.warnings}
 
 
 def cmd_edge_f(args, manifest):
@@ -241,14 +240,14 @@ def cmd_edge_f(args, manifest):
         if (not all(math.isfinite(v) for v in (lo, hi, step))
                 or step <= 0 or hi < lo):
             raise DomainError("--beta-grid wants finite lo <= hi and step > 0")
-        if (hi - lo) / step + 1.0 > BETA_GRID_MAX_POINTS:
+        # whole steps from lo to hi, forgiving rounding up to a billionth
+        # of a step; int(steps) + 1 points, checked while steps is a float
+        # that may be too large for an int
+        steps = (hi - lo) / step + 1e-9
+        if steps >= BETA_GRID_MAX_POINTS:
             raise CapabilityError("--beta-grid limited to %d points"
                                   % BETA_GRID_MAX_POINTS)
-        betas = []
-        k = 0
-        while lo + k * step <= hi + 1e-12:
-            betas.append(lo + k * step)
-            k += 1
+        betas = [lo + k * step for k in range(int(steps) + 1)]
     else:
         betas = [args.beta]
     rows = []
@@ -262,27 +261,23 @@ def cmd_edge_f(args, manifest):
         manifest.write_csv(args.emit,
                            ["beta", "phase", "s_star", "a_star", "b_star",
                             "psi"], rows)
-    payload = {"phase": last.phase, "s_star": last.s_star,
+    return 0, {"phase": last.phase, "s_star": last.s_star,
                "a_star": last.a_star, "b_star": last.b_star,
                "psi": last.psi, "beta_c": last.beta_c, "s_c": last.s_c,
                "rows": len(rows)}
-    _emit(args, payload)
-    return 0
 
 
 def cmd_nmf(args, manifest):
     spec = load_hamiltonian(args.hamiltonian)
     prob = NmfProblem(args.n, args.p, spec=spec)
     sol = nmf_solve(prob, seed=args.seed)
-    payload = {"value": sol.value,
+    if args.emit:
+        manifest.write_bytes(args.emit, sol.table.to_bytes())
+    return 0, {"value": sol.value,
                "iterations": sol.diagnostics["iterations"],
                "residuals": sol.grad_norm,
                "witness_value": sol.diagnostics["witness_value"],
-               "warnings": list(sol.warnings)}
-    if args.emit:
-        manifest.write_bytes(args.emit, sol.table.to_bytes())
-    _emit(args, payload)
-    return 0
+               "warnings": sol.warnings}
 
 
 def cmd_phi_np(args, manifest):
@@ -290,38 +285,27 @@ def cmd_phi_np(args, manifest):
     s = _float_list(args.s)
     prob = NmfProblem(args.n, args.p, s=s, family=tuple(motifs))
     sol = phi_np_solve(prob)
-    payload = {"value": sol.value,
+    if args.emit:
+        manifest.write_bytes(args.emit, sol.table.to_bytes())
+    return 0, {"value": sol.value,
                "iterations": len(sol.diagnostics["candidates"]),
                "residuals": sol.residual,
                "witness_value": sol.diagnostics["witness_value"],
                "selected": sol.diagnostics["selected"]}
-    if args.emit:
-        manifest.write_bytes(args.emit, sol.table.to_bytes())
-    _emit(args, payload)
-    return 0
 
 
 def cmd_sample(args, manifest):
-    config = {"n": args.n, "p": args.p, "sweeps": args.sweeps,
-              "burnin": args.burnin, "chains": args.chains,
-              "seed": args.seed, "thin": args.thin,
-              "detect": bool(args.detect)}
-    if args.hamiltonian:
-        config["spec"] = load_hamiltonian(args.hamiltonian)
-    if args.xi is not None:
-        config["xi"] = args.xi
-    if args.delta_hub is not None:
-        config["delta_hub"] = args.delta_hub
-    result = run_experiment(config)
+    spec = load_hamiltonian(args.hamiltonian) if args.hamiltonian else None
+    result = run_experiment(
+        n=args.n, p=args.p, sweeps=args.sweeps, spec=spec, chains=args.chains,
+        burnin=args.burnin, thin=args.thin, seed=args.seed,
+        delta_hub=args.delta_hub, xi=args.xi, detect=args.detect)
     if args.emit_traj:
         manifest.write_csv(args.emit_traj, result.columns, result.rows)
     if args.emit_graph:
         manifest.write_bytes(args.emit_graph,
                              WeightTable(result.final).to_bytes())
-    summary = _py(result.summary)
-    payload = {"rows": len(result.rows), "summary": summary}
-    _emit(args, payload)
-    return 0
+    return 0, {"rows": len(result.rows), "summary": result.summary}
 
 
 def cmd_finner_check(args, manifest):
@@ -331,16 +315,14 @@ def cmd_finner_check(args, manifest):
         inst = finner.load_instance(args.instance)
         value = finner.finner_integral(inst)
         ok = value <= 1.0 + 1e-10
-        payload = {"integral": value, "bound_ok": ok,
-                   "classes": [list(c) for c in inst.classes]}
+        payload = {"integral": value, "bound_ok": ok, "classes": inst.classes}
         if args.recover:
             family, residuals = finner.recover_factors(inst)
             payload["residuals"] = residuals
             payload["factors"] = {
-                ",".join(str(v) for v in members): h.ravel().tolist()
+                ",".join(str(v) for v in members): h.ravel()
                 for members, h in family.items()}
-        _emit(args, payload)
-        return 0 if ok else 1
+        return (0 if ok else 1), payload
     if args.suite != "random":
         raise DomainError("unknown suite %r" % args.suite)
     if args.count < 1:
@@ -352,9 +334,8 @@ def cmd_finner_check(args, manifest):
         inst = finner.random_instance(rng)
         worst = max(worst, finner.finner_integral(inst))
     ok = worst <= 1.0 + 1e-10
-    payload = {"count": args.count, "max_integral": worst, "all_ok": ok}
-    _emit(args, payload)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"count": args.count, "max_integral": worst,
+                              "all_ok": ok}
 
 
 def cmd_emit_figure(args, manifest):
@@ -382,11 +363,9 @@ def cmd_emit_figure(args, manifest):
                 "equation": "0.5*a + b = phi", "s": list(s)}
     manifest.write_text("line.json",
                         json.dumps(line_doc, separators=(",", ":")) + "\n")
-    payload = {"scenario": args.scenario, "phi": sol.value,
+    return 0, {"scenario": args.scenario, "phi": sol.value,
                "optimizers": [[o.a, o.b] for o in sol.optimizers],
                "rows": len(opt_rows)}
-    _emit(args, payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +453,8 @@ def build_parser():
     sub.add_argument("--chains", type=int, default=1)
     sub.add_argument("--thin", type=int, default=1)
     sub.add_argument("--detect", action="store_true")
-    sub.add_argument("--delta-hub", type=float, default=None)
-    sub.add_argument("--xi", type=float, default=None)
+    sub.add_argument("--delta-hub", type=float, default=DELTA_HUB)
+    sub.add_argument("--xi", type=float, default=XI)
     sub.add_argument("--emit-traj", default=None)
     sub.add_argument("--emit-graph", default=None)
     _common(sub)
@@ -510,8 +489,9 @@ def main(argv=None):
         return 1
     manifest = Manifest(argv, args, out_dir=getattr(args, "out", None))
     try:
-        code = args.func(args, manifest)
+        code, payload = args.func(args, manifest)
         manifest.finish()
+        _emit(payload)
     except CapabilityError as exc:
         sys.stderr.write("error:capability:%s\n"
                          % str(exc).replace("\n", " "))

@@ -30,6 +30,10 @@ CLAMP = 700.0
 ENUM_MAX_VERTICES = 6
 KERNEL_MAX_STATES = 4096
 RESYNC_SWEEPS = 64
+# detection defaults: hub rows have degree at least (1 - DELTA_HUB) n, and a
+# clique block has inner density at least 1 - 2 XI
+DELTA_HUB = 0.5
+XI = 0.05
 # run_experiment refuses runs whose resident arrays would pass this many bytes
 SAMPLE_MEMORY = 2 ** 29
 
@@ -449,7 +453,8 @@ class StructureReport:
     xi2: float
 
 
-def detect_structure(adj, p, delta, delta_hub=0.5, xi=0.05, spectral=True):
+def detect_structure(adj, p, delta, delta_hub=DELTA_HUB, xi=XI,
+                     spectral=True):
     """Degree-threshold hub detection plus greedy clique densification.
 
     Hub rows are those of degree at least (1 - delta_hub) n.  Clique
@@ -521,33 +526,16 @@ class ExperimentResult:
     final: np.ndarray
 
 
-def run_experiment(config):
+def run_experiment(n, p, sweeps, spec=None, chains=1, burnin=0, thin=1,
+                   seed=0, delta_hub=DELTA_HUB, xi=XI, detect=True):
     """Run heat-bath chains one after another and record thinned rows.
 
-    Config keys: n, p, sweeps (required); spec, chains, burnin, thin, seed,
-    delta_hub, xi, detect.  Each chain starts from an ER(p) draw and is
-    released before the next one is built; `final` is the last chain's
-    graph.  Rows follow the trajectory layout (chain, sweep, edges,
-    t_1..t_m, hubSize, cliqueSize, xi1, xi2), chain by chain in sweep order.
-    The spectral certificate xi2 is computed for n <= 512 and is NaN above.
+    Each chain starts from an ER(p) draw and is released before the next
+    one is built; `final` is the last chain's graph.  Rows follow the
+    trajectory layout (chain, sweep, edges, t_1..t_m, hubSize, cliqueSize,
+    xi1, xi2), chain by chain in sweep order.  The spectral certificate xi2
+    is computed for n <= 512 and is NaN above.
     """
-    cfg = dict(config)
-    try:
-        n = int(cfg.pop("n"))
-        p = float(cfg.pop("p"))
-        sweeps = int(cfg.pop("sweeps"))
-    except KeyError as missing:
-        raise DomainError("config missing %s" % missing)
-    spec = cfg.pop("spec", None)
-    chains = int(cfg.pop("chains", 1))
-    burnin = int(cfg.pop("burnin", 0))
-    thin = int(cfg.pop("thin", 1))
-    seed = int(cfg.pop("seed", 0))
-    delta_hub = float(cfg.pop("delta_hub", 0.5))
-    xi = float(cfg.pop("xi", 0.05))
-    detect = bool(cfg.pop("detect", True))
-    if cfg:
-        raise DomainError("unknown config keys: %s" % sorted(cfg))
     if n < 2:
         raise DomainError("need at least two vertices")
     if not 0.0 < p < 1.0:

