@@ -2,10 +2,11 @@
 
 Instances carry finite probability spaces, a weighted set system over the
 coordinates, and one nonnegative unit-bounded function per set.  The weighted
-product integral is computed exactly, the stability bounds for the one-space
-Holder inequalities are checked with explicit constants, and near-equality
-instances are decomposed into per-class factor functions by the inductive
-contraction scheme.
+product integral is computed exactly, the one-function Holder stability bound
+is checked with its explicit constant, and near-equality instances are
+decomposed into per-class factor functions by the inductive contraction
+scheme.  The random fixture families at the end feed finner-check --suite
+and the acceptance suite.
 """
 
 import itertools
@@ -24,15 +25,6 @@ def holder_constant(lam):
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie in (0, 1)")
     return math.sqrt(2.0 / (lam * (1.0 - lam)))
-
-
-def pair_constant(lam_k, lam_l):
-    """Stability constant for one pair in the generalized inequality."""
-    if lam_k <= 0.0 or lam_l <= 0.0 or lam_k + lam_l > 1.0 + 1e-12:
-        raise DomainError("pair weights must be positive with sum at most 1")
-    lam = lam_k / (lam_k + lam_l)
-    single = 2.0 * holder_constant(lam) + 1.0 / min(lam, 1.0 - lam)
-    return single / math.sqrt(lam_k + lam_l)
 
 
 class ProductInstance:
@@ -203,7 +195,7 @@ def finner_integral(inst):
 
 
 # ---------------------------------------------------------------------------
-# stability of the one-space inequalities
+# stability of the one-function inequality
 
 
 def holder_stability_check(g, lam, nu):
@@ -226,43 +218,6 @@ def holder_stability_check(g, lam, nu):
     bound = 2.0 * holder_constant(lam) * math.sqrt(eps)
     l1 = float((np.abs(g - 1.0) * nu).sum())
     return eps, bound, l1, l1 <= bound + 1e-10
-
-
-def genholder_stability_check(fs, lams, mu):
-    """Pairwise stability report for several functions on one space.
-
-    Requires sum(lams) <= 1 and mean(f) <= 1 for each function.  Every pair
-    must satisfy the L1 closeness bound with the explicit constant.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0) or abs(mu.sum() - 1.0) > 1e-9:
-        raise DomainError("mu must be a positive probability vector")
-    fs = [np.asarray(f, dtype=float) for f in fs]
-    lams = [float(l) for l in lams]
-    if len(fs) < 2 or len(fs) != len(lams):
-        raise DomainError("need at least two weighted functions")
-    if any(l <= 0.0 for l in lams) or sum(lams) > 1.0 + 1e-12:
-        raise DomainError("weights must be positive with sum at most 1")
-    prod = np.ones_like(mu)
-    for f, lam in zip(fs, lams):
-        if f.shape != mu.shape or np.any(f < 0.0):
-            raise DomainError("functions must be nonnegative over mu")
-        if float((f * mu).sum()) > 1.0 + 1e-12:
-            raise DomainError("function mean exceeds 1")
-        prod = prod * f ** lam
-    eps = max(0.0, 1.0 - float((prod * mu).sum()))
-    pairs = []
-    ok = True
-    for k in range(len(fs)):
-        for l in range(k + 1, len(fs)):
-            dist = float((np.abs(fs[k] - fs[l]) * mu).sum())
-            const = pair_constant(lams[k], lams[l])
-            bound = const * math.sqrt(eps)
-            good = dist <= bound + 1e-10
-            ok = ok and good
-            pairs.append({"k": k, "l": l, "distance": dist,
-                          "constant": const, "bound": bound, "pass": good})
-    return {"eps": eps, "pairs": pairs, "pass": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +259,6 @@ def _pad_cover(spaces, system, functions):
             system.append(((v,), 1.0 - load))
             functions.append(np.ones(spaces[v].size))
     return system, functions
-
-
-def normalize_instance(inst):
-    """Merge equivalence classes and pad the cover to weight exactly 1.
-
-    Returns the reduced instance plus the class membership map.  The product
-    integral is unchanged by both passes, and on the result every class is a
-    single coordinate with covering weight 1.
-    """
-    spaces, system, functions, classes = _merge_classes(inst)
-    system, functions = _pad_cover(spaces, system, functions)
-    return ProductInstance(spaces, system, functions), classes
 
 
 def _recover(vertices, spaces, system, functions):
@@ -398,51 +341,27 @@ def recover_factors(inst):
     return family, residuals
 
 
-def factor_deviation(inst, family, members):
-    """L1 distance of one recovered factor from the constant 1."""
-    members = tuple(sorted(members))
-    if members not in family:
-        raise DomainError("%s is not an equivalence class" % (members,))
-    mass = _measure(inst.spaces, members)
-    return float((np.abs(family[members] - 1.0) * mass).sum())
-
-
-def remark_slack_check(inst, members):
-    """Check that a slack class's factor stays near 1.
-
-    members must be an equivalence class whose covering weight is strictly
-    below 1; the recovered factor then satisfies the calibrated bound
-    3 eps^(1/4).  Returns (pass flag, details).
-    """
-    members = tuple(sorted(members))
-    if members not in inst.classes:
-        raise DomainError("%s is not an equivalence class" % (members,))
-    load = sum(lam for a, lam in inst.system
-               if set(members) <= set(a))
-    if load >= 1.0 - 1e-12:
-        raise DomainError("class %s has no slack in its covering weight"
-                          % (members,))
-    eps = max(0.0, 1.0 - finner_integral(inst))
-    family, residuals = recover_factors(inst)
-    dev = factor_deviation(inst, family, members)
-    bound = 3.0 * eps ** 0.25
-    passed = dev <= bound + 1e-9
-    return passed, {"eps": eps, "deviation": dev, "bound": bound,
-                    "load": load, "residuals": residuals}
-
-
 # ---------------------------------------------------------------------------
-# fixture builders used by the randomized suites
+# fixture builders: finner-check --suite draws random_instance; criterion 7
+# judges the inequality on all three families
 
 
-def random_instance(rng, max_vertices=4, max_space=4, max_sets=5):
-    """A random valid instance for the inequality suite."""
-    n = int(rng.integers(1, max_vertices + 1))
+def _random_spaces(rng, n, max_space):
+    """n probability vectors of 2 to max_space points each."""
     spaces = []
     for _ in range(n):
         size = int(rng.integers(2, max_space + 1))
         mass = rng.random(size) + 0.1
         spaces.append(mass / mass.sum())
+    return spaces
+
+
+def _random_sets(rng, n, max_sets):
+    """1 to max_sets random nonempty subsets of range(n), with raw weights.
+
+    Returns (sets, raw, peak): peak is the largest raw load on any
+    coordinate, floored at 1, so weights raw * c / peak keep each load <= c.
+    """
     count = int(rng.integers(1, max_sets + 1))
     sets = []
     for _ in range(count):
@@ -453,7 +372,15 @@ def random_instance(rng, max_vertices=4, max_space=4, max_sets=5):
     for a, lam in zip(sets, raw):
         for v in a:
             load[v] += lam
-    scale = float(rng.random() * 0.9 + 0.1) / max(1.0, load.max())
+    return sets, raw, max(1.0, load.max())
+
+
+def random_instance(rng):
+    """A random valid instance: 1 to 4 spaces of 2 to 4 points, 1 to 5 sets."""
+    n = int(rng.integers(1, 5))
+    spaces = _random_spaces(rng, n, 4)
+    sets, raw, peak = _random_sets(rng, n, 5)
+    scale = float(rng.random() * 0.9 + 0.1) / peak
     system = [(a, lam * scale) for a, lam in zip(sets, raw)]
     functions = []
     for a, _ in system:
@@ -483,23 +410,10 @@ def tensor_product_instance(rng, max_vertices=4, max_space=4, max_sets=4):
     weight is exactly 1, which keeps the product integral at 1.
     """
     n = int(rng.integers(2, max_vertices + 1))
-    spaces = []
-    for _ in range(n):
-        size = int(rng.integers(2, max_space + 1))
-        mass = rng.random(size) + 0.1
-        spaces.append(mass / mass.sum())
+    spaces = _random_spaces(rng, n, max_space)
     hs = random_unit_factors(rng, spaces)
-    count = int(rng.integers(1, max_sets + 1))
-    sets = []
-    for _ in range(count):
-        size = int(rng.integers(1, n + 1))
-        sets.append(tuple(sorted(rng.choice(n, size=size, replace=False))))
-    raw = rng.random(count) + 0.05
-    load = np.zeros(n)
-    for a, lam in zip(sets, raw):
-        for v in a:
-            load[v] += lam
-    scale = 0.9 / max(1.0, load.max())
+    sets, raw, peak = _random_sets(rng, n, max_sets)
+    scale = 0.9 / peak
     system = [(a, lam * scale) for a, lam in zip(sets, raw)]
     for v in range(n):
         slack = 1.0 - sum(lam for a, lam in system if v in a)
@@ -508,26 +422,12 @@ def tensor_product_instance(rng, max_vertices=4, max_space=4, max_sets=4):
     return ProductInstance(spaces, system, functions), hs
 
 
-def perturbed_instance(base, rng, amplitude):
-    """Multiplicative noise (1 + u) with |u| <= amplitude, means restored."""
-    functions = []
-    for (verts, _), f in zip(base.system, base.functions):
-        noise = 1.0 + amplitude * (2.0 * rng.random(f.shape) - 1.0)
-        g = f * noise
-        mean = base.set_integral(verts, g)
-        old = base.set_integral(verts, f)
-        if mean > 0.0:
-            g = g * (min(old, 1.0) / mean)
-        functions.append(g)
-    return ProductInstance([m for m in base.spaces], list(base.system),
-                           functions)
-
-
-def calderon_instance(rng, n=4, space=3):
-    """All size-(n-1) subsets with weight 1/(n-1) and random functions."""
+def calderon_instance(rng):
+    """All 3-subsets of 4 coordinates, weight 1/3 each, random functions."""
+    n = 4
     spaces = []
     for _ in range(n):
-        mass = rng.random(space) + 0.1
+        mass = rng.random(3) + 0.1
         spaces.append(mass / mass.sum())
     system = [(a, 1.0 / (n - 1))
               for a in itertools.combinations(range(n), n - 1)]

@@ -737,21 +737,3 @@ def edge_f_solve(model):
                          s_hub, value_hub, s_clique, value_clique,
                          s_star, a_star, b_star, psi, ambiguous, warnings)
 
-
-def monotone_selection_check(motif, gamma, betas, shift=1.0):
-    """Branch maximizers must be nondecreasing in beta (per branch)."""
-    betas = sorted(float(b) for b in betas)
-    rows = []
-    ok = True
-    prev_hub = prev_clique = -math.inf
-    for beta in betas:
-        sol = edge_f_solve(EdgeFModel(motif, beta, gamma, shift))
-        rows.append((beta, sol.s_hub, sol.s_clique, sol.phase))
-        if sol.s_hub < prev_hub - 1e-7 * (1.0 + abs(prev_hub)):
-            ok = False
-        prev_hub = max(prev_hub, sol.s_hub)
-        if sol.s_clique is not None:
-            if sol.s_clique < prev_clique - 1e-7 * (1.0 + abs(prev_clique)):
-                ok = False
-            prev_clique = max(prev_clique, sol.s_clique)
-    return ok, rows

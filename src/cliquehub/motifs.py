@@ -334,14 +334,6 @@ class WeightTable:
         return WeightTable(x + x.T)
 
 
-def er_table(n, p, rng):
-    """Erdos-Renyi adjacency matrix as a WeightTable."""
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    x = (upper & (rng.random((n, n)) < p)).astype(np.float64)
-    x = x + x.T
-    return WeightTable(x)
-
-
 # ---------------------------------------------------------------------------
 # motif plans: each motif is classified once
 

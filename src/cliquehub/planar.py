@@ -27,6 +27,7 @@ DEDUP_TOL = 1e-8
 NEAR_WINDOW = 0.1
 FEAS_TOL = 1e-12
 ACTIVE_TOL = 1e-7
+REGION_GRID = 101  # points on each axis of phi_region_emit's grid
 
 
 @dataclass
@@ -222,7 +223,7 @@ def phi_solve(motifs, s, tie_tol=TIE_TOL):
     return PlanarProgram(motifs).solve(s, tie_tol)
 
 
-def phi_region_emit(motifs, s, na=101, nb=101):
+def phi_region_emit(motifs, s):
     """Feasibility grid rows and per-motif level-curve polylines.
 
     Returns (rows, curves): rows are (a, b, feasible, objective) tuples;
@@ -235,8 +236,8 @@ def phi_region_emit(motifs, s, na=101, nb=101):
                        + [2.0 * o.a for o in sol.optimizers] + [1.0])
     b_max = 1.25 * max([b for _, _, b in levels.values()]
                        + [2.0 * o.b for o in sol.optimizers] + [1.0])
-    aa, bb = np.meshgrid(np.linspace(0.0, a_max, na),
-                         np.linspace(0.0, b_max, nb), indexing="ij")
+    aa, bb = np.meshgrid(np.linspace(0.0, a_max, REGION_GRID),
+                         np.linspace(0.0, b_max, REGION_GRID), indexing="ij")
     t = prog.t_values(aa, bb)
     ok = np.ones(aa.shape, dtype=bool)
     for k, (target, _, _) in levels.items():

@@ -394,57 +394,6 @@ def spectral_certificate(adj, clique, hub, p, delta):
     return dist / (n * p ** (delta / 2.0))
 
 
-def discrepancy_samples(adj, clique, hub, p, delta, xi, count=20, seed=0):
-    """Sampled block-count checks against the spectral slack xi.
-
-    Inside the clique block and across the hub bipartition the one-density
-    deficit is compared to xi sqrt(n^2 p^delta / (|A||B|)); outside both
-    structures the p-relative error is compared to
-    xi sqrt(n^2 p^(delta-2) / (|A||B|)).
-    """
-    a = _as_matrix(adj)
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    clique = list(clique)
-    hub = list(hub)
-    free = np.ones(n, dtype=bool)
-    free[hub] = False
-    comp_hub = np.flatnonzero(free)
-    free[clique] = False
-    outside = np.flatnonzero(free)
-    rows = []
-    for _ in range(count):
-        kind = str(rng.choice(["clique", "hub", "outside"]))
-        if kind == "clique" and len(clique) >= 4:
-            size = max(2, len(clique) // 2)
-            a_set = rng.choice(clique, size=size, replace=False)
-            b_set = rng.choice(clique, size=size, replace=False)
-        elif kind == "hub" and hub and comp_hub.size:
-            a_set = np.asarray(hub)
-            size = max(1, len(comp_hub) // 2)
-            b_set = rng.choice(comp_hub, size=size, replace=False)
-        elif kind == "outside" and len(outside) >= 4:
-            size = max(2, len(outside) // 2)
-            a_set = rng.choice(outside, size=size, replace=False)
-            b_set = rng.choice(outside, size=size, replace=False)
-        else:
-            continue
-        block = float(a[np.ix_(np.sort(a_set), np.sort(b_set))].sum())
-        sizes = len(a_set) * len(b_set)
-        if kind in ("clique", "hub"):
-            lhs = 1.0 - block / sizes
-            rhs = xi * math.sqrt(n ** 2 * p ** delta / sizes)
-            ok = -1e-9 <= lhs < rhs
-        else:
-            lhs = abs(block / (p * sizes) - 1.0)
-            rhs = xi * math.sqrt(n ** 2 * p ** (delta - 2.0) / sizes)
-            ok = lhs < rhs
-        rows.append({"kind": kind, "a_size": int(len(a_set)),
-                     "b_size": int(len(b_set)), "lhs": lhs, "rhs": rhs,
-                     "ok": bool(ok)})
-    return rows
-
-
 @dataclass
 class StructureReport:
     clique: tuple

@@ -21,7 +21,7 @@ from cliquehub.planar import phi_solve
 from cliquehub.hamiltonian import (EdgeFModel, HamiltonianSpec,
                                    HamiltonianTerm, edge_f_solve, psi_solve,
                                    solve_s_c, validate_hamiltonian)
-from cliquehub.nmf import NmfProblem, nmf_solve, phi_np_solve, clear_phi_cache
+from cliquehub.nmf import NmfProblem, nmf_solve, phi_np_solve
 from cliquehub.sampler import (almost_certificate, detect_structure,
                                empirical_distribution, exact_enumerate,
                                spectral_certificate, total_variation,
@@ -275,7 +275,6 @@ def test_criterion_8_certificates_and_trends():
         print("nmf trend n=%3d: value/rate=%.4f witness/rate=%.4f "
               "grad=%.1e" % (n, v, w, g))
 
-    clear_phi_cache()
     chains = [
         (48, ("C3",), [(0.5,), (1.0,), (2.0,), (4.0,), (8.0,)]),
         (40, ("K12", "C3"), [(0.5, 0.4), (1.0, 0.8), (2.0, 1.6),

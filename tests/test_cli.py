@@ -13,7 +13,7 @@ import pytest
 
 from cliquehub import cli, finner, nmf, sampler
 from cliquehub.errors import DegeneracyError, DomainError, InternalError
-from cliquehub.motifs import WeightTable, er_table, motif_from_name
+from cliquehub.motifs import WeightTable, motif_from_name
 from cliquehub.hamiltonian import (HamiltonianSpec, HamiltonianTerm,
                                    hamiltonian_to_json_dict)
 
@@ -29,6 +29,14 @@ def triangle_file(tmp_path, beta=1.0):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(hamiltonian_to_json_dict(spec)))
     return str(path)
+
+
+def er_table(n, p, rng):
+    """Erdos-Renyi adjacency matrix as a WeightTable."""
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    x = (upper & (rng.random((n, n)) < p)).astype(np.float64)
+    x = x + x.T
+    return WeightTable(x)
 
 
 def test_planar_phi_example_output(capsys):

@@ -16,7 +16,6 @@ from cliquehub.hamiltonian import (
     h_value,
     hamiltonian_from_json_dict,
     hamiltonian_to_json_dict,
-    monotone_selection_check,
     psi_solve,
     solve_beta_c,
     solve_s_c,
@@ -487,13 +486,21 @@ def test_beta_o_is_the_infimum_of_the_planar_ratio():
 
 
 def test_monotone_selection():
-    ok, rows = monotone_selection_check("C3", 1.0,
-                                        [0.1 * i for i in range(1, 31)])
-    assert ok
-    ok2, _ = monotone_selection_check("C3", 1.0, [1.0, 1.0])
-    assert ok2
-    ok3, _ = monotone_selection_check("K12", 0.9, [0.5, 1.0, 2.0])
-    assert ok3
+    # each branch maximizer is nondecreasing in beta, to 1e-7 relative
+    for motif, gamma, betas in (("C3", 1.0, [0.1 * i for i in range(1, 31)]),
+                                ("C3", 1.0, [1.0, 1.0]),
+                                ("K12", 0.9, [0.5, 1.0, 2.0])):
+        prev_hub = prev_clique = -math.inf
+        for beta in betas:
+            sol = edge_f_solve(EdgeFModel(motif, beta, gamma))
+            assert sol.s_hub >= prev_hub - 1e-7 * (1.0 + abs(prev_hub)), \
+                (motif, beta)
+            prev_hub = max(prev_hub, sol.s_hub)
+            if sol.s_clique is not None:
+                assert sol.s_clique >= \
+                    prev_clique - 1e-7 * (1.0 + abs(prev_clique)), \
+                    (motif, beta)
+                prev_clique = max(prev_clique, sol.s_clique)
 
 
 def _l1_close(x, y, radius):

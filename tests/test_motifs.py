@@ -13,7 +13,6 @@ from cliquehub.motifs import (
     WeightTable,
     clique_motif,
     cycle_motif,
-    er_table,
     hom_density,
     hom_density_delta,
     hom_density_grad,
@@ -186,16 +185,6 @@ def test_weight_table_round_trips():
     again3 = WeightTable.from_bytes(b.to_bytes()).matrix
     assert np.array_equal(again3, b.matrix)
     assert np.all((again3 == 0.0) | (again3 == 1.0))
-
-
-def test_er_table_is_binary_and_seeded():
-    rng = np.random.default_rng(5)
-    t = er_table(20, 0.3, rng)
-    assert np.all((t.matrix == 0.0) | (t.matrix == 1.0))
-    assert np.array_equal(t.matrix, t.matrix.T)
-    assert np.all(np.diag(t.matrix) == 0)
-    t2 = er_table(20, 0.3, np.random.default_rng(5))
-    assert np.array_equal(t.matrix, t2.matrix)
 
 
 def test_hom_sum_known_values():

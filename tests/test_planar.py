@@ -168,9 +168,8 @@ def test_program_excess_round_trip():
 
 
 def test_region_emit_structure():
-    rows, curves = phi_region_emit(FIGURE_FAMILY, [2.0, 15.0, 100.0],
-                                   na=41, nb=41)
-    assert len(rows) == 41 * 41
+    rows, curves = phi_region_emit(FIGURE_FAMILY, [2.0, 15.0, 100.0])
+    assert len(rows) == 101 * 101
     some_feasible = [r for r in rows if r[2]]
     assert some_feasible
     for a, b, feas, obj in rows[:50]:

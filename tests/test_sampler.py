@@ -20,7 +20,6 @@ from cliquehub.sampler import (
     almost_certificate,
     chain_rng,
     detect_structure,
-    discrepancy_samples,
     empirical_distribution,
     exact_enumerate,
     run_experiment,
@@ -414,21 +413,6 @@ def test_certificate_containment_on_noisy_fixtures():
         xi2 = spectral_certificate(g, clique, hub, p, delta)
         xi = max(xi2, 2.0 * floor)
         assert xi1 <= math.sqrt(max(a_par, b_par)) * xi + 1e-9
-
-
-def test_discrepancy_rows_on_planted_graph():
-    n, p, delta = 300, 0.1, 2.0
-    clique = tuple(range(40))
-    hub = tuple(range(40, 52))
-    g = planted_graph(n, p, clique, hub, seed=5)
-    rows = discrepancy_samples(g, clique, hub, p, delta, xi=0.05,
-                               count=30, seed=2)
-    assert len(rows) >= 20
-    kinds = {row["kind"] for row in rows}
-    assert kinds == {"clique", "hub", "outside"}
-    assert all(row["ok"] for row in rows)
-    for row in rows:
-        assert row["lhs"] < row["rhs"]
 
 
 def test_run_experiment_shapes_and_summary():

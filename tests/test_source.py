@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -217,3 +218,78 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str([0] * len(runs)), proc.stderr
+
+
+BENCH = sorted((pathlib.Path(cliquehub.__file__).parents[2]
+                / "perfbench").glob("*.py"))
+
+# Package functions that no package code and no benchmark code calls, each
+# kept for a reason.  WeightTable.to_json_dict shares its name with
+# Motif.to_json_dict and perfbench calls a parser's error, so both count as
+# reached by name.
+UNCALLED = {
+    # criterion 6 judges the sampler by exact enumeration
+    "sampler.exact_enumerate", "sampler.transition_matrix",
+    "sampler.empirical_distribution", "sampler.total_variation",
+    # criterion 7 judges the inequality and the one-function stability form
+    "finner.holder_stability_check", "finner.tensor_product_instance",
+    "finner.calderon_instance",
+    # the planned nmf --diagnostics reports it
+    "nmf.stability_probe",
+    # the tests' window on one heat-bath probability, named in the README
+    "sampler.ErgmChain.edge_probability",
+    # file format writers, kept beside their readers
+    "hamiltonian.hamiltonian_to_json_dict", "finner.instance_to_dict",
+}
+
+
+def _uses(tree):
+    """How often each identifier occurs in a tree: names, attributes and
+    imported names."""
+    uses = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses[node.name.rpartition(".")[2]] += 1
+    return uses
+
+
+def test_every_package_function_has_a_caller():
+    # the package holds what its commands and the acceptance judges use; a
+    # function only tests reach belongs in the tests, and UNCALLED may only
+    # shrink.  A name is reached when it occurs in the package outside its
+    # own definition, or anywhere in perfbench/, whose tracer patches
+    # functions by their names as strings.
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in SOURCES if path.name != "__init__.py"}
+    package = sum((_uses(tree) for tree in trees.values()),
+                  collections.Counter())
+    bench = set()
+    for path in BENCH:
+        tree = ast.parse(path.read_text(), str(path))
+        bench.update(_uses(tree))
+        bench.update(node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str))
+    uncalled = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [("%s.%s" % (top.name, node.name), node)
+                         for node in top.body
+                         if isinstance(node, ast.FunctionDef)
+                         and not (node.name.startswith("__")
+                                  and node.name.endswith("__"))]
+            for qualname, node in defs:
+                if node.name not in bench and \
+                        package[node.name] == _uses(node)[node.name]:
+                    uncalled.add("%s.%s" % (module, qualname))
+    assert BENCH
+    assert sorted(uncalled - UNCALLED) == []
+    assert sorted(UNCALLED - uncalled) == []
