@@ -12,6 +12,6 @@ from .errors import CapabilityError, CliqueHubError, DegeneracyError, DomainErro
 from .motifs import Motif, WeightTable, hom_density, motif_from_name
 from .planar import PlanarProgram, phi_solve
 from .hamiltonian import EdgeFModel, HamiltonianSpec, edge_f_solve, psi_solve
-from .nmf import CliqueHub, NmfProblem, nmf_solve, phi_np_solve
+from .nmf import NmfProblem, nmf_solve, overlay_matrix, phi_np_solve
 from .sampler import ErgmChain, detect_structure, run_experiment
 from .finner import ProductInstance, finner_integral, recover_factors

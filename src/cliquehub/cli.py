@@ -57,26 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _py(obj):
-    """Coerce numpy scalars and arrays to plain Python containers."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
+def _plain(obj):
+    """json's hook for numpy values: an array becomes a list, a numpy scalar
+    its Python value.  np.float64 is a float and never reaches here."""
     if isinstance(obj, np.ndarray):
-        return _py(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _emit(payload):
     """Stdout is always one line of compact JSON."""
-    print(json.dumps(_py(payload), separators=(",", ":")))
+    print(json.dumps(payload, separators=(",", ":"), default=_plain))
 
 
 def _sha256(path):

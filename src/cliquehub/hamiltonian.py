@@ -130,10 +130,6 @@ def h_float(spec, x):
         return float(h_value(spec, x))
 
 
-def h_at_one(spec):
-    return float(h_value(spec, np.ones(len(spec.family))))
-
-
 def _motif_json(motif):
     """The motif's name when that name resolves to it, else its document."""
     try:
@@ -195,8 +191,6 @@ class PsiSolution:
     duality_gap: float
     optimizers: list        # (a, b) pairs
     s_star: list            # excess vectors at the optimizers
-    h_at_one: float
-    excess_psi: float
     warnings: list = field(default_factory=list)
 
 
@@ -428,10 +422,9 @@ def psi_solve(spec, seed=0):
         psi_dual = max(psi_dual, -fun)
 
     psi = max(direct.value, psi_dual)
-    h1 = h_at_one(spec)
     gap = abs(direct.value - psi_dual)
     return PsiSolution(psi, direct.value, psi_dual, gap, direct.optimizers,
-                       direct.s_star, h1, psi - h1, direct.warnings)
+                       direct.s_star, direct.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +562,8 @@ def _grow_domain(fun, lo, hi, label):
 
 def solve_s_c(motif):
     """Crossover where the clique cost half s^(2/v) meets the hub cost."""
-    t = Surrogate(resolve_motif(motif))
+    motif = resolve_motif(motif)
+    t = Surrogate(motif)
     if not t.regular:
         raise DomainError("s_c needs a regular motif")
     # a regular core is its own star core
@@ -577,9 +571,14 @@ def solve_s_c(motif):
     def q(s):
         return t.hub_poly(0.5 * t.clique(s)) - (1.0 + s)
 
+    # q > 0 where the clique costs more than the hub; for a single edge the
+    # two costs are both s/2, q is 0 everywhere and nothing crosses
     lo = 1e-6
     while q(lo) <= 0.0 and lo > 1e-14:
         lo /= 10.0
+    if q(lo) <= 0.0:
+        raise DomainError("%s has no clique-hub crossover: the clique never "
+                          "costs more than the hub" % motif.name)
     hi = max(2.0 * lo, 1.0)
     while q(hi) > 0.0:
         hi *= 2.0

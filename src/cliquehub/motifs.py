@@ -304,10 +304,11 @@ class WeightTable:
             raise DomainError("weight table blob too short")
         (n,) = struct.unpack("<I", blob[:4])
         want = n * (n - 1) // 2
+        # counted in bytes, so a body that ends inside a float64 is caught
+        if len(blob) - 4 != 8 * want:
+            raise DomainError("weight table blob has %d bytes after the "
+                              "count, expected %d" % (len(blob) - 4, 8 * want))
         body = np.frombuffer(blob[4:], dtype="<f8")
-        if body.size != want:
-            raise DomainError("weight table blob has %d entries, expected %d"
-                              % (body.size, want))
         x = np.zeros((n, n))
         x[np.tril_indices(n, k=-1)] = body
         x = x + x.T
@@ -898,8 +899,8 @@ def validate_family(motifs, allow_mixed_max_degree=False):
     if len(degs) > 1:
         if not allow_mixed_max_degree:
             raise DomainError(
-                "family mixes maximum degrees %s; pass allow_mixed_max_degree"
-                % degs)
+                "family mixes maximum degrees %s; the planar problem takes "
+                "one maximum degree" % degs)
         warnings.append(
             "family mixes maximum degrees %s; using the largest" % degs)
     return MotifFamily(motifs, max(degs), warnings)

@@ -123,53 +123,27 @@ class NmfProblem:
         return rate(self.n, self.p, self.delta)
 
 
-@dataclass
-class CliqueHub:
-    """Planted overlay: a clique block I, hub rows J, base density p."""
-
-    n: int
-    p: float
-    clique: tuple
-    hub: tuple
-    entropy: float = field(init=False)
-
-    def __post_init__(self):
-        self.clique = tuple(sorted(int(v) for v in self.clique))
-        self.hub = tuple(sorted(int(v) for v in self.hub))
-        if set(self.clique) & set(self.hub):
-            raise DomainError("clique and hub sets must be disjoint")
-        if len(self.clique) + len(self.hub) > self.n:
-            raise DomainError("overlay does not fit in n vertices")
-        k_i, k_j = len(self.clique), len(self.hub)
-        ones = k_i * (k_i - 1) // 2 + k_j * (self.n - k_j)
-        self.entropy = ones * math.log(1.0 / self.p)
-
-    def matrix(self):
-        m = np.full((self.n, self.n), self.p)
-        idx_i = np.array(self.clique, dtype=int)
-        idx_j = np.array(self.hub, dtype=int)
-        if idx_i.size:
-            m[np.ix_(idx_i, idx_i)] = 1.0
-        if idx_j.size:
-            outside = np.ones(self.n, dtype=bool)
-            outside[idx_j] = False
-            comp = np.flatnonzero(outside)
-            m[np.ix_(idx_j, comp)] = 1.0
-            m[np.ix_(comp, idx_j)] = 1.0
-        np.fill_diagonal(m, 0.0)
-        return m
-
-    def table(self):
-        return WeightTable(self.matrix())
-
-
-def clique_hub_sizes(n, p, k_clique, k_hub):
-    k_clique = int(k_clique)
-    k_hub = int(k_hub)
-    if k_clique < 0 or k_hub < 0:
-        raise DomainError("overlay sizes must be nonnegative")
-    return CliqueHub(n, p, tuple(range(k_clique)),
-                     tuple(range(k_clique, k_clique + k_hub)))
+def overlay_matrix(n, p, clique, hub):
+    """Planted overlay Q^{I,J} on n vertices: 1 on pairs inside the clique
+    set I and on pairs joining a hub row of J to a vertex outside J, p on
+    every other pair, 0 on the diagonal."""
+    idx_i = np.array(clique, dtype=int)
+    idx_j = np.array(hub, dtype=int)
+    if set(idx_i.tolist()) & set(idx_j.tolist()):
+        raise DomainError("clique and hub sets must be disjoint")
+    if idx_i.size + idx_j.size > n:
+        raise DomainError("overlay does not fit in n vertices")
+    m = np.full((n, n), p)
+    if idx_i.size:
+        m[np.ix_(idx_i, idx_i)] = 1.0
+    if idx_j.size:
+        outside = np.ones(n, dtype=bool)
+        outside[idx_j] = False
+        comp = np.flatnonzero(outside)
+        m[np.ix_(idx_j, comp)] = 1.0
+        m[np.ix_(comp, idx_j)] = 1.0
+    np.fill_diagonal(m, 0.0)
+    return m
 
 
 def overlay_sizes(n, p, delta, a, b, factor=1.0, rounding=math.floor):
@@ -231,12 +205,23 @@ def nmf_gradient(prob, Q):
     return g
 
 
+def _finite(fn, Q):
+    """fn(Q), a value or a gradient, computed with numpy's overflow and
+    invalid warnings off; a DomainError when any entry is not finite, as
+    happens when beta or 1/p is past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(Q)
+    if not np.isfinite(out).all():
+        raise DomainError("mean-field objective or gradient is not finite")
+    return out
+
+
 def _pga(value_fn, grad_fn, Q0, max_iter, tol):
     """Projected gradient ascent with Barzilai-Borwein steps and a monotone
     safeguard.  Returns the best iterate seen."""
     Q = _project(np.array(Q0, dtype=float))
-    val = value_fn(Q)
-    g = grad_fn(Q)
+    val = _finite(value_fn, Q)
+    g = _finite(grad_fn, Q)
     best_Q, best_val = Q, val
     step = 1.0 / (1.0 + float(np.abs(g).max()))
     pg_norm = math.inf
@@ -244,16 +229,16 @@ def _pga(value_fn, grad_fn, Q0, max_iter, tol):
     for it in range(max_iter):
         done = it + 1
         Qn = _project(Q + step * g)
-        vn = value_fn(Qn)
+        vn = _finite(value_fn, Qn)
         halvings = 0
         while vn < val - 1e-12 * (1.0 + abs(val)) and halvings < 40:
             step *= 0.5
             halvings += 1
             Qn = _project(Q + step * g)
-            vn = value_fn(Qn)
+            vn = _finite(value_fn, Qn)
         if halvings >= 40 and vn < val:
             break
-        gn = grad_fn(Qn)
+        gn = _finite(grad_fn, Qn)
         d_q = Qn - Q
         d_g = gn - g
         den = float(np.vdot(d_g, d_g))
@@ -296,12 +281,12 @@ def _warm_starts(prob, seed):
     try:
         for a, b in direct_route(prob.spec).optimizers:
             for f in (0.8, 1.0, 1.2):
-                ch = clique_hub_sizes(
-                    n, p, *overlay_sizes(n, p, prob.delta, a, b, factor=f))
+                ki, kj = overlay_sizes(n, p, prob.delta, a, b, factor=f)
                 label = "overlay(%g,%g)x%g" % (a, b, f)
-                starts.append((label, ch.matrix()))
+                starts.append((label, overlay_matrix(
+                    n, p, range(ki), range(ki, ki + kj))))
                 if f == 1.0:
-                    witnesses.append((label, ch))
+                    witnesses.append(starts[-1])
     except DegeneracyError:
         warnings.append("objective degenerate in the limit; overlay starts skipped")
     except CapabilityError as err:
@@ -338,15 +323,14 @@ def nmf_solve(prob, max_iter=300, seed=0):
     # exact overlay and flat matrices compete directly so the certified
     # floors hold with no box-clipping slack
     floor_vals = []
-    for label, ch in witnesses:
-        m = ch.matrix()
-        v = value_fn(m)
+    for label, m in witnesses:
+        v = _finite(value_fn, m)
         floor_vals.append(v)
         results.append({"restart": len(results), "label": label + ":exact",
                         "value": v, "iterations": 0, "grad_norm": math.nan,
                         "_Q": m})
     flat = starts[0][1]
-    flat_val = value_fn(flat)
+    flat_val = _finite(value_fn, flat)
     results.append({"restart": len(results), "label": "flat:exact",
                     "value": flat_val, "iterations": 0, "grad_norm": math.nan,
                     "_Q": flat})
@@ -386,7 +370,6 @@ class PhiNpSolution:
     t: np.ndarray
     residual: float
     diagnostics: dict
-    warnings: list = field(default_factory=list)
 
 
 def clear_phi_cache():
@@ -485,14 +468,15 @@ def phi_np_solve(prob):
     if not active:
         sol = PhiNpSolution(value=0.0, table=WeightTable(flat),
                             t=_densities(prob, flat), residual=0.0,
-                            diagnostics={"candidates": [], "witness_value": 0.0})
+                            diagnostics={"candidates": [], "selected": "flat",
+                                         "witness_value": 0.0})
         return sol
 
     candidates = []
     try:
         prog = PlanarProgram(prob.family, allow_mixed_max_degree=True)
         limit = prog.solve(prob.s)
-    except CapabilityError:  # no planar limit: no witnesses, a null value
+    except CapabilityError:  # no planar limit: no witnesses
         limit = PlanarSolution(None, [])
     points = [(o.a, o.b) for o in limit.optimizers]
     points += [(a, b) for a, b, _ in limit.near_ties]
@@ -500,8 +484,8 @@ def phi_np_solve(prob):
     for a, b in points:
         for rounding in (math.floor, math.ceil):
             ki, kj = overlay_sizes(n, p, prob.delta, a, b, rounding=rounding)
-            ch = clique_hub_sizes(n, p, ki, kj)
-            fixed = _inflate_to_feasible(prob, active, ch.matrix())
+            overlay = overlay_matrix(n, p, range(ki), range(ki, ki + kj))
+            fixed = _inflate_to_feasible(prob, active, overlay)
             if fixed is not None:
                 witness_vals.append(entropy(fixed, p))
                 candidates.append(("witness(%d,%d)" % (ki, kj), fixed))
@@ -530,8 +514,7 @@ def phi_np_solve(prob):
     if any(value > w + 1e-9 for w in witness_vals):
         raise InternalError("witness dominance violated")
     diag = {"candidates": rows, "selected": label,
-            "witness_value": min(witness_vals) if witness_vals else None,
-            "limit_value": limit.value, "rate": prob.rate}
+            "witness_value": min(witness_vals) if witness_vals else None}
     return PhiNpSolution(value=value, table=WeightTable(np.clip(Q, 0.0, 1.0)),
                          t=t, residual=residual, diagnostics=diag)
 
@@ -565,11 +548,11 @@ def stability_probe(prob, Q):
         sub = x[np.ix_(rest, rest)]
         order2 = np.argsort(-sub.sum(axis=1), kind="stable")
         clique = np.sort(rest[order2[:ki]])
-        overlay = CliqueHub(n, p, tuple(int(v) for v in clique),
-                            tuple(int(v) for v in hub))
-        dist = float(np.linalg.norm(x - overlay.matrix()) / scale)
-        reports.append({"a": opt.a, "b": opt.b, "clique": overlay.clique,
-                        "hub": overlay.hub, "distance": dist})
+        dist = float(np.linalg.norm(x - overlay_matrix(n, p, clique, hub))
+                     / scale)
+        reports.append({"a": opt.a, "b": opt.b,
+                        "clique": tuple(int(v) for v in clique),
+                        "hub": tuple(int(v) for v in hub), "distance": dist})
     reports.sort(key=lambda r: r["distance"])
     return {"distance": reports[0]["distance"] if reports else math.nan,
             "reports": reports}

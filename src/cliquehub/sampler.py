@@ -24,7 +24,7 @@ from .hamiltonian import (HamiltonianSpec, checked_hamiltonian, direct_route,
 # because perfbench's tracer wraps it on this module
 from .motifs import (_as_matrix, hom_density, hom_density_delta, rate,
                      toggle_rule, validate_family)
-from .nmf import CliqueHub, overlay_sizes
+from .nmf import overlay_matrix, overlay_sizes
 
 CLAMP = 700.0
 ENUM_MAX_VERTICES = 6
@@ -388,9 +388,7 @@ def spectral_certificate(adj, clique, hub, p, delta):
     """Spectral slack: ||G - Q^{I,J}|| / (n p^{delta/2})."""
     a = _as_matrix(adj)
     n = a.shape[0]
-    overlay = CliqueHub(n, p, tuple(int(v) for v in clique),
-                        tuple(int(v) for v in hub))
-    dist = spectral_distance(a, overlay.matrix())
+    dist = spectral_distance(a, overlay_matrix(n, p, clique, hub))
     return dist / (n * p ** (delta / 2.0))
 
 

@@ -636,6 +636,29 @@ def test_phi_np_and_nmf_commands(capsys, tmp_path):
     assert phi_doc["residuals"] <= 1e-6
 
 
+def test_phi_np_zero_targets_print_the_flat_answer(capsys):
+    # no floor is active, so the answer is 0 at Q = p and nothing runs
+    code, out, err = run_cli(capsys, ["phi-np", "--n", "8", "--p", "0.5",
+                                      "--motifs", "C3", "--s", "0"])
+    assert (code, err) == (0, "")
+    assert out == ('{"value":0.0,"iterations":0,"residuals":0.0,'
+                   '"witness_value":0.0,"selected":"flat"}\n')
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_mean_field_objective_is_a_domain_error(capsys, tmp_path):
+    # beta / p^3 overflows, so the gradient is inf and the step would be 0;
+    # the run stops with one line and no numpy warning
+    ham = tmp_path / "big.json"
+    ham.write_text('{"family": ["C3"], '
+                   '"terms": [{"k": 0, "beta": 1e300, "gamma": 0.3}]}')
+    code, out, err = run_cli(capsys, ["nmf", "--n", "8", "--p", "1e-100",
+                                      "--hamiltonian", str(ham)])
+    assert (code, out) == (1, "")
+    assert err == ("error:domain:mean-field objective or gradient is not "
+                   "finite\n")
+
+
 def test_phi_np_rerun_in_one_process_prints_the_same(capsys):
     argv = ["phi-np", "--n", "24", "--p", "0.3", "--motifs", "C3",
             "--s", "1.0"]
@@ -934,6 +957,16 @@ def test_edge_f_overflow_is_a_domain_error(capsys):
     assert out == ""
     assert err.startswith("error:domain:") and err.count("\n") == 1, err
     assert "not finite" in err
+
+
+def test_edge_f_refuses_a_single_edge(capsys):
+    # for K11 the clique and hub costs are both s/2 at every s, so the
+    # branches never cross and no s_c or beta_c exists
+    code, out, err = run_cli(capsys, ["edge-f", "--motif", "K11", "--gamma",
+                                      "0.5", "--beta", "1"])
+    assert (code, out) == (1, "")
+    assert err == ("error:domain:K11 has no clique-hub crossover: the clique "
+                   "never costs more than the hub\n")
 
 
 def test_planar_phi_region_emission(capsys, tmp_path):

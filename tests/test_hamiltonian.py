@@ -134,8 +134,6 @@ def test_psi_triangle_hub_phase():
     assert any(abs(a) < 1e-5 and abs(b - 1 / 3) < 1e-4
                for a, b in sol.optimizers)
     assert any(abs(s[0] - 1.0) < 1e-3 for s in sol.s_star)
-    assert sol.h_at_one == 0.0
-    assert sol.excess_psi == pytest.approx(sol.psi)
 
 
 def test_psi_triangle_clique_phase():
@@ -332,6 +330,16 @@ def test_s_c_triangle():
     assert solve_s_c(motif_from_name("C3")) == pytest.approx(27 / 8, abs=1e-9)
     with pytest.raises(DomainError):
         solve_s_c(motif_from_name("K12"))  # irregular
+
+
+def test_s_c_needs_the_branches_to_cross():
+    # a single edge has T(a, b) = 1 + a + 2b: both costs are s/2, q(s) is 0
+    # for every s, and the bracket search must not bisect anyway
+    for name in ("K11", "K2"):
+        with pytest.raises(DomainError, match="no clique-hub crossover"):
+            solve_s_c(motif_from_name(name))
+    with pytest.raises(DomainError, match="K11 has no clique-hub crossover"):
+        edge_f_solve(EdgeFModel("K11", 1.0, 0.5))
 
 
 def test_s_c_slope_gap():

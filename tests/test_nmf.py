@@ -8,14 +8,13 @@ from cliquehub.errors import CapabilityError, DomainError
 from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm
 from cliquehub.motifs import hom_density
 from cliquehub.nmf import (
-    CliqueHub,
     NmfProblem,
-    clique_hub_sizes,
     entropy,
     entropy_grad,
     nmf_gradient,
     nmf_objective,
     nmf_solve,
+    overlay_matrix,
     overlay_sizes,
     phi_np_solve,
     rel_entr,
@@ -104,13 +103,13 @@ def test_entropy_grad_formula():
                 assert abs(g[i, j] - expect) < 1e-12
 
 
-def test_clique_hub_sizes_and_entropy():
-    ch = clique_hub_sizes(100, 0.1, *overlay_sizes(100, 0.1, 2, 4.0, 0.0))
-    assert len(ch.clique) == 20
-    assert abs(ch.entropy - 190 * math.log(10.0)) < 1e-9
+def test_overlay_matrix_and_entropy():
+    ki, kj = overlay_sizes(100, 0.1, 2, 4.0, 0.0)
+    assert (ki, kj) == (20, 0)
+    m = overlay_matrix(100, 0.1, range(ki), range(ki, ki + kj))
+    assert abs(entropy(m, 0.1) - 190 * math.log(10.0)) < 1e-9
 
-    ch2 = clique_hub_sizes(30, 0.2, 5, 4)
-    m = ch2.matrix()
+    m = overlay_matrix(30, 0.2, range(5), range(5, 9))
     assert np.allclose(m, m.T)
     assert np.all(np.diag(m) == 0.0)
     # hub rows connect to everything outside the hub, not to each other
@@ -120,12 +119,12 @@ def test_clique_hub_sizes_and_entropy():
     assert m[0, 1] == 1.0
     assert m[10, 20] == 0.2
     ones = 5 * 4 // 2 + 4 * (30 - 4)
-    assert abs(ch2.entropy - ones * math.log(5.0)) < 1e-9
+    assert abs(entropy(m, 0.2) - ones * math.log(5.0)) < 1e-9
 
-    with pytest.raises(DomainError):
-        clique_hub_sizes(10, 0.2, 6, 5)
-    with pytest.raises(DomainError):
-        CliqueHub(10, 0.2, (0, 1), (1, 2))
+    with pytest.raises(DomainError, match="does not fit"):
+        overlay_matrix(10, 0.2, range(6), range(6, 11))
+    with pytest.raises(DomainError, match="disjoint"):
+        overlay_matrix(10, 0.2, (0, 1), (1, 2))
 
     # overlay_sizes: sqrt(a p^delta) n = 17.32..., b p^delta n = 2.5
     n, p, delta, a, b = 100, 0.1, 2, 3.0, 2.5
@@ -140,8 +139,7 @@ def test_clique_hub_sizes_and_entropy():
     assert overlay_sizes(n, p, delta, a, 1e4) == (17, 83)
     # negative amplitudes are round-off and count as zero
     assert overlay_sizes(n, p, delta, -1e-12, -1e-12) == (0, 0)
-    ch = clique_hub_sizes(n, p, *overlay_sizes(n, p, delta, -1e-12, b))
-    assert ch.clique == () and len(ch.hub) == 2
+    assert overlay_sizes(n, p, delta, -1e-12, b) == (0, 2)
 
 
 def test_problem_validation():
@@ -271,15 +269,16 @@ def test_phi_np_answers_from_its_problem_alone():
 def test_stability_probe_planted_hub():
     prob = NmfProblem(n=64, p=0.5, s=(2.0,), family=("C3",))
     # the limit optimizer is (0, 2/3), so the overlay hub holds 10 rows
-    planted = clique_hub_sizes(64, 0.5, 0, 10)
-    probe = stability_probe(prob, planted.table())
+    planted = overlay_matrix(64, 0.5, (), range(10))
+    probe = stability_probe(prob, planted)
     assert probe["distance"] < 1e-12
-    assert probe["reports"][0]["hub"] == planted.hub
+    assert probe["reports"][0]["hub"] == tuple(range(10))
 
 
 def test_stability_probe_planted_clique():
     prob = NmfProblem(n=100, p=0.3, s=(8.0,), family=("C3",))
-    probe = stability_probe(prob, clique_hub_sizes(100, 0.3, 60, 0).table())
+    planted = overlay_matrix(100, 0.3, range(60), ())
+    probe = stability_probe(prob, planted)
     assert probe["distance"] < 1e-12
 
 

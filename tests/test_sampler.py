@@ -9,7 +9,7 @@ import scipy.special
 from cliquehub.errors import DomainError, InternalError
 from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm, h_value
 from cliquehub.motifs import hom_density, hom_density_delta, motif_from_name
-from cliquehub.nmf import CliqueHub
+from cliquehub.nmf import overlay_matrix
 from cliquehub.sampler import (
     CLAMP,
     ErgmChain,
@@ -328,7 +328,7 @@ def test_spectral_distance_examples():
     # the norm is exact: ER(0.1) against a 5-clique overlay matches the
     # largest eigenvalue modulus, and a nilpotent difference gives 1
     g = er_graph(100, 0.1, seed=3)
-    overlay = CliqueHub(100, 0.1, tuple(range(5)), ()).matrix()
+    overlay = overlay_matrix(100, 0.1, range(5), ())
     want = float(np.abs(np.linalg.eigvalsh(g - overlay)).max())
     assert abs(spectral_distance(g, overlay) - want) <= 1e-12 * want
     shift = np.zeros((2, 2))
@@ -383,7 +383,7 @@ def test_certificates_on_exact_overlay():
     n, p, delta = 300, 0.1, 2.0
     clique = tuple(range(40))
     hub = tuple(range(40, 52))
-    overlay = CliqueHub(n, p, clique, hub).matrix()
+    overlay = overlay_matrix(n, p, clique, hub)
     xi1 = almost_certificate(overlay, clique, hub, p, delta)
     xi2 = spectral_certificate(overlay, clique, hub, p, delta)
     # ordered pair counts miss the diagonal, so the clique side keeps
