@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import CapabilityError, CliqueHubError, DomainError, InternalError
+from .errors import CapabilityError, CliqueHubError, DomainError
 from .motifs import WeightTable, hom_density, load_json, resolve_motif
 from .planar import DEDUP_TOL, phi_region_emit, phi_solve
 from .hamiltonian import EdgeFModel, edge_f_solve, load_hamiltonian, psi_solve
@@ -485,18 +485,13 @@ def main(argv=None):
         code, payload = args.func(args, manifest)
         manifest.finish()
         _emit(payload)
-    except CapabilityError as exc:
-        sys.stderr.write("error:capability:%s\n"
-                         % str(exc).replace("\n", " "))
-        return 2
-    except InternalError as exc:
-        sys.stderr.write("error:internal:%s\n"
-                         % str(exc).replace("\n", " "))
-        return 3
     except (OSError, CliqueHubError) as exc:
-        # a path that is missing, a directory, or under a plain file
-        sys.stderr.write("error:domain:%s\n" % str(exc).replace("\n", " "))
-        return 1
+        # an OSError is a path that is missing, a directory, or under a
+        # plain file: a domain error
+        err = exc if isinstance(exc, CliqueHubError) else DomainError
+        sys.stderr.write("error:%s:%s\n"
+                         % (err.kind, str(exc).replace("\n", " ")))
+        return err.exit_code
     return code
 
 

@@ -7,20 +7,24 @@ InternalError covers a broken invariant of the program itself (CLI exit 3).
 
 
 class CliqueHubError(Exception):
-    code = "INTERNAL"
+    """The CLI prints error:<kind>:<message> and exits with exit_code."""
+    kind = "domain"
+    exit_code = 1
 
 
 class DomainError(CliqueHubError):
-    code = "DOMAIN"
+    pass
 
 
 class DegeneracyError(DomainError):
-    code = "DEGENERATE"
+    pass
 
 
 class CapabilityError(CliqueHubError):
-    code = "CAPABILITY"
+    kind = "capability"
+    exit_code = 2
 
 
 class InternalError(CliqueHubError):
-    code = "INTERNAL"
+    kind = "internal"
+    exit_code = 3

@@ -206,17 +206,20 @@ class IndepPoly:
         return y
 
     def inverse(self, y):
-        """Solve P(b) = y for b >= 0; requires y >= 1."""
+        """Solve P(b) = y for b >= 0; requires a finite y >= 1."""
         y = float(y)
+        if not math.isfinite(y):
+            raise DomainError("inverse of independence polynomial needs a "
+                              "finite y, got %r" % y)
         if y < 1.0 - 1e-12:
             raise DomainError("inverse of independence polynomial needs y >= 1")
         if y <= 1.0:
             return 0.0
+        # P(b) >= 1 + b, so the doubling stops before hi reaches 2y, or
+        # where P(hi) overflows to inf
         hi = 1.0
         while self(hi) < y:
             hi *= 2.0
-            if hi > 1e30:
-                raise DomainError("inverse bracket failed")
         lo = 0.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
@@ -474,29 +477,19 @@ def hom_sum_fast(motif, x):
     scale_iso = _n_power(n, plan.iso)
 
     if plan.kind == "cycle":
-        if _is_binary(x):
-            # integer matrix powers stay exact in float64, so binary
-            # inputs get integer counts with no eigenvalue roundoff
-            power = x
-            for _ in range(plan.size - 1):
-                power = power @ x
-            return scale_iso * float(np.trace(power))
-        w = np.linalg.eigvalsh(x)
-        return scale_iso * float(np.sum(w ** plan.size))
+        # integer matrix powers stay exact in float64, so binary inputs get
+        # integer counts, and a nonnegative table's products cancel nothing
+        power = np.linalg.matrix_power(x, plan.size)
+        return scale_iso * float(np.trace(power))
 
     if plan.kind == "star":
         r = x.sum(axis=1)
         return scale_iso * float(np.sum(r ** plan.size))
 
     if plan.kind == "clique" and _is_binary(x):
-        masks = []
-        for i in range(n):
-            m = 0
-            row = x[i]
-            for j in range(n):
-                if row[j] != 0.0:
-                    m |= 1 << j
-            masks.append(m)
+        # bit j of masks[i] is set when x[i, j] is nonzero
+        rows = np.packbits(x != 0.0, axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
         r = plan.size
         total = _count_cliques(masks, n, r)
         return scale_iso * float(total * math.factorial(r))

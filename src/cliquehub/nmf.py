@@ -273,9 +273,7 @@ def _warm_starts(prob, seed):
     """Flat start, clique-hub overlays at the limit optimizers with size
     perturbations of +-20 percent, and three random matrices."""
     n, p = prob.n, prob.p
-    flat = np.full((n, n), p)
-    np.fill_diagonal(flat, 0.0)
-    starts = [("flat", flat)]
+    starts = [("flat", overlay_matrix(n, p, (), ()))]
     witnesses = []
     warnings = []
     try:
@@ -463,8 +461,7 @@ def phi_np_solve(prob):
         raise DomainError("phi_np_solve needs a target problem")
     p, n = prob.p, prob.n
     active = [(k, 1.0 + sk) for k, sk in enumerate(prob.s) if sk > 0.0]
-    flat = np.full((n, n), p)
-    np.fill_diagonal(flat, 0.0)
+    flat = overlay_matrix(n, p, (), ())
     if not active:
         sol = PhiNpSolution(value=0.0, table=WeightTable(flat),
                             t=_densities(prob, flat), residual=0.0,

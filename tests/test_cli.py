@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cliquehub import cli, finner, nmf, sampler
-from cliquehub.errors import DegeneracyError, DomainError, InternalError
+from cliquehub.errors import (CapabilityError, CliqueHubError,
+                              DegeneracyError, DomainError, InternalError)
 from cliquehub.motifs import WeightTable, motif_from_name
 from cliquehub.hamiltonian import (HamiltonianSpec, HamiltonianTerm,
                                    hamiltonian_to_json_dict)
@@ -151,6 +152,39 @@ def test_non_finite_planar_target_is_a_domain_error(capsys):
             assert code == 1, (command[0], s)
             assert out == ""
             assert err == "error:domain:targets must be finite\n"
+
+
+def test_large_planar_targets_have_finite_answers(capsys):
+    # phi(C3) = s^(2/3)/2 past the hub inverse's old 1e30 bracket; a phi-np
+    # target that large is out of reach of every graph on 8 vertices
+    for motif, s, want in (("C3", "1e31", 2.320794416806383e+20),
+                           ("C4", "1e300", 5e+149),
+                           ("C3", "1e308", 1.0772173450159135e+205)):
+        code, out, err = run_cli(capsys, ["planar-phi", "--motifs", motif,
+                                          "--s", s])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
+    code, out, err = run_cli(capsys, ["phi-np", "--n", "8", "--p", "0.5",
+                                      "--motifs", "C3", "--s", "1e31"])
+    assert (code, out) == (1, "")
+    assert err == ("error:domain:density floors unreachable even at the "
+                   "complete graph\n")
+
+
+@pytest.mark.parametrize("error, line, code", [
+    (CliqueHubError("bare"), "error:domain:bare\n", 1),
+    (DegeneracyError("flat"), "error:domain:flat\n", 1),
+    (CapabilityError("too big"), "error:capability:too big\n", 2),
+    (OSError("no disk"), "error:domain:no disk\n", 1),
+])
+def test_every_error_is_reported_by_its_kind(capsys, monkeypatch, error,
+                                             line, code):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "phi_solve", broken)
+    assert run_cli(capsys, ["planar-phi", "--motifs", "C3", "--s", "1.0"]) \
+        == (code, "", line)
 
 
 def test_capability_error_exit_2(capsys, tmp_path):

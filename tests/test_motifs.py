@@ -44,6 +44,8 @@ SMALL_GRAPHS = {
     "K13": (4, [(0, 1), (0, 2), (0, 3)]),
 }
 
+CYCLES = [cycle_motif(length) for length in (3, 4, 6, 7, 8)]
+
 
 def random_table(n, p, seed, binary=True):
     rng = np.random.default_rng(seed)
@@ -161,6 +163,18 @@ def test_indep_poly_inverse_round_trip():
         indep_poly(motif_from_name("C3")).inverse(0.5)
 
 
+def test_indep_poly_inverse_of_large_and_non_finite_targets():
+    # P(b) >= 1 + b, so every finite y >= 1 has an inverse, however large;
+    # a NaN fails every comparison and must not come back as b = 0
+    for name in ("C3", "C4"):
+        p = indep_poly(motif_from_name(name))
+        for b in (1e31, 1e100):
+            assert p.inverse(p(b)) == pytest.approx(b, rel=1e-12)
+        for y in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                p.inverse(y)
+
+
 def test_weight_table_validation():
     x = np.zeros((3, 3))
     x[0, 1] = 0.5
@@ -213,6 +227,21 @@ def test_hom_engines_agree_binary():
             if fast is not None:
                 assert fast == pytest.approx(exact, rel=1e-10, abs=1e-9), name
             assert generic == pytest.approx(exact, rel=1e-10, abs=1e-9), name
+    # traces of integer matrix powers are exact counts, up to 7^8 maps
+    for seed in range(6):
+        table = random_table(7, 0.55, seed=seed)
+        for m in CYCLES:
+            assert hom_sum_fast(m, table.matrix) == \
+                hom_sum_exhaustive(m, table.matrix), (m.name, seed)
+
+
+def test_clique_masks_past_64_vertices():
+    # bitmask rows of 67 vertices span two words and end mid-byte
+    table = random_table(67, 0.5, seed=5)
+    k4 = motif_from_name("K4")
+    want = hom_sum_exhaustive(k4, table.matrix)
+    assert want > 0
+    assert hom_sum_fast(k4, table.matrix) == want
 
 
 def test_hom_engines_agree_weighted():
@@ -226,6 +255,10 @@ def test_hom_engines_agree_weighted():
             fast = hom_sum_fast(m, table.matrix)
             if fast is not None:
                 assert fast == pytest.approx(exact, rel=1e-9, abs=1e-9), name
+        for m in CYCLES:
+            exact = hom_sum_exhaustive(m, table.matrix)
+            assert hom_sum_fast(m, table.matrix) == \
+                pytest.approx(exact, rel=1e-12, abs=0.0), (m.name, seed)
 
 
 def test_hom_disconnected_and_isolated():
