@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DomainError
 # perfbench/spans.py looks indep_poly up here to time it
-from .motifs import (_is_int, indep_poly, load_json,  # noqa: F401
-                     motif_from_name, resolve_motif, validate_family)
+from .motifs import (_is_int, bracket_root, indep_poly,  # noqa: F401
+                     load_json, motif_from_name, resolve_motif,
+                     validate_family)
 from .planar import PlanarProgram, Surrogate
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -402,15 +403,14 @@ def psi_solve(spec, seed=0):
         return -dual_val(u * u)
 
     rng = np.random.default_rng(seed)
-    dual_starts = [np.maximum(prog.excess(a, b), 0.0)
-                   for a, b, val in direct.points[:2]]
+    dual_starts = [prog.excess(a, b) for a, b, val in direct.points[:2]]
     dual_starts.append(np.zeros(m))
     dual_starts.append(np.ones(m))
     for _ in range(2):
         dual_starts.append(rng.uniform(0.0, 4.0, size=m) ** 2)
     explored = []
     for s0 in dual_starts:
-        x, fun, _, _ = _nelder_mead(neg_dual, np.sqrt(np.maximum(s0, 0.0)),
+        x, fun, _, _ = _nelder_mead(neg_dual, np.sqrt(s0),
                                     xatol=1e-6, fatol=1e-10,
                                     maxiter=400, maxfev=400)
         explored.append((fun, x))
@@ -584,20 +584,7 @@ def solve_s_c(motif):
         hi *= 2.0
         if hi > 2.0 ** 60:
             raise DomainError("no crossover bracket found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if q(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    for _ in range(6):
-        h = 1e-8 * (1.0 + s)
-        dq = (q(s + h) - q(s - h)) / (2 * h)
-        if dq == 0:
-            break
-        s = s - q(s) / dq
-    return float(s)
+    return bracket_root(lambda s: q(s) > 0.0, lo, hi)[1]
 
 
 class _Branches:
@@ -673,13 +660,7 @@ def solve_beta_c(model):
         lo, hi = hi, 2.0 * hi
         if hi > 2.0 ** 20:
             raise DomainError("beta_c bracket exceeded the doubling cap")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bracket_root(lambda beta: gap(beta) > 0.0, lo, hi)[1]
 
 
 def solve_beta_o(model):

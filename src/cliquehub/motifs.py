@@ -172,6 +172,20 @@ def resolve_motif(spec):
 # independence polynomial
 
 
+def bracket_root(below, lo, hi):
+    """Halve [lo, hi] until its ends are adjacent floats and return them.
+    Requires below(lo) and not below(hi); a midpoint where below holds
+    replaces lo, any other replaces hi, so the ends keep that property."""
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # no overflow near the largest float
+        if not lo < mid < hi:
+            return lo, hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 class IndepPoly:
     """P(x) = 1 + sum over nonempty independent sets U of x^|U|.
 
@@ -220,20 +234,9 @@ class IndepPoly:
         hi = 1.0
         while self(hi) < y:
             hi *= 2.0
-        lo = 0.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        b = 0.5 * (lo + hi)
-        # Newton polish
-        for _ in range(6):
-            d = self.deriv(b)
-            if d <= 0:
-                break
-            b = max(0.0, b - (self(b) - y) / d)
+        # the upper end, where P(b) >= y, so an axis endpoint meets its level
+        b = bracket_root(lambda x: self(x) < y,
+                         0.0 if hi == 1.0 else 0.5 * hi, hi)[1]
         if abs(self(b) - y) > 1e-12 * max(1.0, abs(y)):
             raise DomainError("independence polynomial inverse did not converge")
         return b
@@ -499,8 +502,6 @@ def hom_sum_fast(motif, x):
 
 def _count_cliques(masks, n, r):
     """Number of unordered r-cliques via bitset intersection backtracking."""
-    if r == 0:
-        return 1
     count = 0
 
     def rec(cand, depth):

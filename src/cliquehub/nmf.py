@@ -8,6 +8,7 @@ the second.  An alignment probe measures how close a given Q sits to the
 nearest overlay suggested by the planar program.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,8 +17,8 @@ import numpy as np
 from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
 # psi_solve is not called here; perfbench's tracer wraps it on this module
 from .hamiltonian import direct_route, h_value, psi_solve  # noqa: F401
-from .motifs import (WeightTable, _as_matrix, hom_density, hom_density_grad,
-                     rate, resolve_motif, validate_family)
+from .motifs import (WeightTable, _as_matrix, bracket_root, hom_density,
+                     hom_density_grad, rate, resolve_motif, validate_family)
 from .planar import PlanarProgram, PlanarSolution
 
 N_CAP = 256
@@ -60,12 +61,18 @@ def relative_entropy(q, p):
     return rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n):
+    """np.triu_indices(n, 1), built once per n; read-only, as it is shared."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def entropy(table, p):
     """Sum of I_p over unordered pairs i < j (diagonal excluded)."""
     x = _as_matrix(table)
-    n = x.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return float(np.sum(relative_entropy(x[iu], p)))
+    return float(np.sum(relative_entropy(x[_upper_pairs(x.shape[0])], p)))
 
 
 def entropy_grad(table, p):
@@ -380,7 +387,8 @@ def clear_phi_cache():
 
 def _inflate_to_feasible(prob, active, Q0):
     """Floor the matrix at p, then blend toward its saturated version until
-    every active density floor holds; the blend parameter is bisected.  Falls
+    every active density floor holds; the blend parameter is bisected from 0,
+    where p (J - I) misses every target above 1, as t(F, J - I) < 1.  Falls
     back to blending toward the all-ones matrix when the support is too thin.
     Returns None when even the complete graph misses a target."""
     p = prob.p
@@ -402,16 +410,8 @@ def _inflate_to_feasible(prob, active, Q0):
         top = np.minimum(top, 1.0)
         if not feasible(blend(1.0, top)):
             continue
-        lo, hi = 0.0, 1.0
-        if feasible(blend(0.0, top)):
-            return blend(0.0, top)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if feasible(blend(mid, top)):
-                hi = mid
-            else:
-                lo = mid
-        return blend(hi, top)
+        lam = bracket_root(lambda x: not feasible(blend(x, top)), 0.0, 1.0)[1]
+        return blend(lam, top)
     return None
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, InternalError
 # perfbench/spans.py looks indep_poly up here to time it
-from .motifs import indep_poly, validate_family  # noqa: F401
+from .motifs import bracket_root, indep_poly, validate_family  # noqa: F401
 
 TIE_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -131,21 +131,13 @@ class PlanarProgram:
         pts = [(ci(ti, grid[t]), float(grid[t]))
                for t in np.flatnonzero(d == 0.0)]
         for t in np.flatnonzero(d[:-1] * d[1:] < 0.0):
-            lo, up = grid[t], grid[t + 1]
-            flo = da(lo)
-            for _ in range(60):
-                mid = 0.5 * (lo + up)
-                fm = da(mid)
-                if fm == 0.0:
-                    break
-                if (flo > 0) == (fm > 0):
-                    lo, flo = mid, fm
-                else:
-                    up = mid
-            else:
-                mid = 0.5 * (lo + up)
-            a0 = 0.5 * (ci(ti, mid) + cj(tj, mid))
-            pts.append((a0, float(mid)))
+            lo, up = float(grid[t]), float(grid[t + 1])
+            # the sign at lo comes from the scalar da that the halving calls,
+            # not from d[t]: numpy's array power can differ in the last bit
+            sign = 1.0 if da(lo) > 0.0 else -1.0
+            lo, up = bracket_root(lambda x: sign * da(x) > 0.0, lo, up)
+            b = 0.5 * (lo + up)  # rounds to one of the two adjacent ends
+            pts.append((0.5 * (ci(ti, b) + cj(tj, b)), b))
         return pts
 
     def _active(self, levels, a, b):

@@ -395,10 +395,10 @@ def test_rerun_is_byte_identical(capsys, tmp_path):
 # combined manifest digests of the figure bundles; refactors must keep the
 # emitted files byte-identical
 FIGURE_DIGESTS = {
-    "fig2A": "a0d1e76ca847bcb99b6a7e1d452e0d18ddd4d2963f2ca2a870a9713f9ad80cdc",
-    "fig2B": "6642b103ab726ae66dff0dbe683c3363ec010cef74982e1e730951222191cf0f",
-    "fig2C": "d33c323bf7384549694eba59123600badcf52f8baadb03c939970db665ed4db0",
-    "fig2D": "09233e297f2aaf8661bb319fc0d1d1c2f54f2552c9cf12dbc5ab2c47c8b73ab3",
+    "fig2A": "a409432c87994c3dd1a6eecc4f7aef4fc5e1018005786e6228d22f431e3e8ef8",
+    "fig2B": "87cb079060509ab80d6d859462df98066e0bd6da3dc35a845bd6305b7833cbfc",
+    "fig2C": "afda826aa130e83e5af5c9114a69b4e75c3a6e23260d92f4ba04f6a37347551b",
+    "fig2D": "cec0cd6810902adb4386dea8d845278b5206fb382358aae768aa502bd4d3cfb1",
     "fig3": "b1dc2d8219d4b1a3dfead34dd50e43bb87d5f4e781655aa25a4b595b58c492f6",
 }
 
@@ -490,7 +490,7 @@ def test_edge_f_beta_grid_csv(capsys, tmp_path):
     # sha256 of the table at the commit that introduced the pin; a change
     # meant to alter its bits updates this value and says why
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-        "e9f878a1f7f1582a95264b52294f8c6737e57c168451d7e82cdbfae1584ef140")
+        "1672ad8d6ce57c058328bd495fdacee6eac935c127e593ebe982678edfe86f09")
     # without --out the run record sits next to the emitted file, not in cwd
     assert (tmp_path / "manifest.json").exists()
     assert not os.path.exists("manifest.json")
@@ -752,6 +752,20 @@ def test_exhaustive_engine_refuses_a_ninth_vertex(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:capability:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("engine, code, kind", [
+    ("fast", 2, "capability"), ("bogus", 1, "domain")])
+def test_hom_density_engine_errors(capsys, tmp_path, engine, code, kind):
+    # the fast engine counts cliques only on a binary table, and an engine
+    # name the program does not know is a domain error
+    table = tmp_path / "w.json"
+    table.write_text(json.dumps({"n": 4, "triangle": [0.5] * 6}))
+    got, out, err = run_cli(capsys, ["hom-density", "--motif", "K4", "--table",
+                                     str(table), "--engine", engine])
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:%s:" % kind) and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -437,24 +437,27 @@ def test_beta_o_cases():
 # to alter them updates these values and says why.
 EDGE_F_PIN = {
     ("C3", 1.0, 1.0, 1.0): (
-        3.375, 1.7777777777777781, 0.0, "hub", 0.9999999999999996,
-        0.6666666666666667, 3.375, 0.375, 0.9999999999999996, 2.25,
-        0.3333333333333332, 0.6666666666666667, False, []),
+        3.374999999999998, 1.7777777777777768, 0.0, "hub", 1.0,
+        0.6666666666666666, 3.374999999999998, 0.3750000000000002, 1.0,
+        2.249999999999999, 0.33333333333333337, 0.6666666666666666, False,
+        []),
     ("C3", 1.78, 1.0, 1.0): (
-        3.375, 1.7777777777777781, 0.0, "clique", 2.374816203414487,
-        1.583210802276325, 5.639751999999998, 1.5842, 5.639751999999998,
-        3.168399999999999, 0.7916054011381624, 1.5842, False, []),
+        3.374999999999998, 1.7777777777777768, 0.0, "clique",
+        2.3748162034144866, 1.583210802276325, 5.639751999999998,
+        1.5842000000000003, 5.639751999999998, 3.168399999999999,
+        0.7916054011381622, 1.5842000000000003, False, []),
     ("C3", 2.5, 1.0, 1.0): (
-        3.375, 1.7777777777777781, 0.0, "clique", 3.375, 2.625,
-        15.624999999999995, 3.125, 15.624999999999995, 6.249999999999998,
-        1.125, 3.125, False, []),
+        3.374999999999998, 1.7777777777777768, 0.0, "clique",
+        3.3749999999999982, 2.625, 15.624999999999995, 3.1250000000000004,
+        15.624999999999995, 6.249999999999998, 1.1249999999999996,
+        3.1250000000000004, False, []),
     ("K12", 1.0, 0.9, 1.0): (
         None, None, 0.0, "hub", 0.23414090776001273, 0.2861722205955711,
         None, -math.inf, 0.23414090776001273, None, 0.2341409077600128,
         0.2861722205955711, False, []),
     ("C4", 1.0, 1.0, 2.0): (
-        15.99999999999999, 2.1846150111531806, 0.3820527134602766, "hub",
-        2.790095042986894, 0.6091013298743391, 15.99999999999999,
+        15.999999999999991, 2.184615011153181, 0.38205271346027664, "hub",
+        2.790095042986894, 0.6091013298743391, 15.999999999999991,
         -0.032010328734569216, 2.790095042986894, 3.9999999999999987,
         0.5475941074756802, 0.6091013298743391, False, []),
     ("K12", 3.0, 0.9, 1.5): (

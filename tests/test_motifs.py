@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from cliquehub.motifs import (
     NAME_MAX_SIZE,
     Motif,
     WeightTable,
+    bracket_root,
     clique_motif,
     cycle_motif,
     hom_density,
@@ -158,9 +160,33 @@ def test_indep_poly_inverse_round_trip():
     for name in ("C3", "C4", "C5", "K13"):
         p = indep_poly(motif_from_name(name))
         for b in rng.uniform(0.0, 9.0, size=20):
-            assert abs(p.inverse(p(float(b))) - b) < 1e-9 * (1.0 + b)
+            y = p(float(b))
+            x = p.inverse(y)
+            assert abs(x - b) < 1e-9 * (1.0 + b)
+            # the least float where P reaches y, so an axis end meets its level
+            assert p(math.nextafter(x, 0.0)) < y <= p(x)
     with pytest.raises(DomainError):
         indep_poly(motif_from_name("C3")).inverse(0.5)
+
+
+def test_bracket_root_halves_to_adjacent_floats():
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x * x < 2.0
+
+    assert bracket_root(below, 1.0, 2.0) == (1.414213562373095,
+                                             math.sqrt(2.0))
+    # from 0 with the largest float as hi: every halving is finite, and it
+    # stops once no float lies between the ends, after about 1,100 calls
+    calls.clear()
+    lo, hi = bracket_root(below, 0.0, sys.float_info.max)
+    assert (lo, hi) == (1.414213562373095, math.sqrt(2.0))
+    assert all(math.isfinite(x) for x in calls) and len(calls) < 1100
+    assert bracket_root(lambda x: False, 0.0, 1.0) == (0.0, 5e-324)
+    assert bracket_root(lambda x: x < 1e308, 0.0, sys.float_info.max) == (
+        math.nextafter(1e308, 0.0), 1e308)
 
 
 def test_indep_poly_inverse_of_large_and_non_finite_targets():

@@ -293,3 +293,66 @@ def test_every_package_function_has_a_caller():
     assert BENCH
     assert sorted(uncalled - UNCALLED) == []
     assert sorted(UNCALLED - uncalled) == []
+
+
+def _averaged(expr):
+    """The two names a midpoint averages, for 0.5 * (x + y), (x + y) / 2 and
+    0.5 * x + 0.5 * y; the empty set for any other expression."""
+    def halved(e):
+        if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult):
+            for const, other in ((e.left, e.right), (e.right, e.left)):
+                if isinstance(const, ast.Constant) and const.value == 0.5:
+                    return other
+        if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Div) and \
+                isinstance(e.right, ast.Constant) and e.right.value == 2:
+            return e.left
+        return None
+
+    inner = halved(expr)
+    if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Add):
+        parts = [inner.left, inner.right]
+    elif isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
+        parts = [halved(expr.left), halved(expr.right)]
+    else:
+        return set()
+    if all(isinstance(p, ast.Name) for p in parts):
+        return {p.id for p in parts}
+    return set()
+
+
+def _loops(node, function=None):
+    """(enclosing function name, loop) for every for and while loop."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _loops(child, child.name)
+            continue
+        if isinstance(child, (ast.For, ast.While)):
+            yield function, child
+        yield from _loops(child, function)
+
+
+def test_one_bisection():
+    # motifs.bracket_root is the one rule that halves a bracket: a loop that
+    # assigns the midpoint of two names back to one of them is a second one
+    found = set()
+    for path in SOURCES:
+        for function, loop in _loops(ast.parse(path.read_text(), str(path))):
+            pairs = []
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.Assign):
+                    continue
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and \
+                            isinstance(node.value, ast.Tuple):
+                        pairs += zip(target.elts, node.value.elts)
+                    else:
+                        pairs.append((target, node.value))
+            mids = {t.id: _averaged(v) for t, v in pairs
+                    if isinstance(t, ast.Name) and _averaged(v)}
+            for target, value in pairs:
+                ends = _averaged(value) or (
+                    mids.get(value.id, set())
+                    if isinstance(value, ast.Name) else set())
+                if isinstance(target, ast.Name) and target.id in ends:
+                    found.add("%s:%s" % (path.name, function))
+    assert sorted(found) == ["motifs.py:bracket_root"]
