@@ -120,13 +120,19 @@ def h_value(spec, x):
     return _h_terms(spec, np.asarray(x, dtype=float), np.maximum)
 
 
+def _larger(a, b):
+    # max(a, b) for two floats, bit for bit (a unless b > a, so a NaN or a
+    # -0.0 in a is kept), at a fraction of the builtin's call cost
+    return b if b > a else a
+
+
 def h_float(spec, x):
     """h(x) for a sequence of Python floats, as a Python float.  It makes
     h_value's operations in the same order, and Python's ** and numpy's
     scalar ** both call the C library's pow, so the bits are the same.
     Where Python's ** overflows, h_value gives numpy's inf or nan."""
     try:
-        return _h_terms(spec, x, max)
+        return _h_terms(spec, x, _larger)
     except OverflowError:
         return float(h_value(spec, x))
 

@@ -178,9 +178,8 @@ class PlanarProgram:
 
         keys = list(levels)
         targets = np.array([levels[k][0] for k in keys])
-        floor = targets - FEAS_TOL * np.maximum(1.0, targets)
         t = self.t_values(*np.array(raw).T)[keys]
-        ok = np.all(t >= floor[:, None], axis=0)
+        ok = np.all(t >= _feasible_floor(targets)[:, None], axis=0)
         feasible = [(a, b, 0.5 * a + b)
                     for (a, b), good in zip(raw, ok.tolist()) if good]
         if not feasible:
@@ -210,6 +209,12 @@ class PlanarProgram:
         return PlanarSolution(value, chosen, near, feasible, levels)
 
 
+def _feasible_floor(target):
+    """The least density that meets a target: the target less FEAS_TOL
+    relative to max(1, target), so a corner found by halving counts."""
+    return target - FEAS_TOL * np.maximum(1.0, target)
+
+
 def phi_solve(motifs, s, tie_tol=TIE_TOL):
     """Minimize a/2 + b subject to T_k(a, b) >= 1 + s_k for all k."""
     return PlanarProgram(motifs).solve(s, tie_tol)
@@ -233,7 +238,7 @@ def phi_region_emit(motifs, s):
     t = prog.t_values(aa, bb)
     ok = np.ones(aa.shape, dtype=bool)
     for k, (target, _, _) in levels.items():
-        ok &= t[k] >= target
+        ok &= t[k] >= _feasible_floor(target)
     rows = list(zip(aa.ravel().tolist(), bb.ravel().tolist(),
                     ok.ravel().tolist(), (0.5 * aa + bb).ravel().tolist()))
     curves = {}

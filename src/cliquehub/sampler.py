@@ -9,10 +9,11 @@ hub rows, then greedily densifies the high-degree remainder into an
 almost-clique, and reports edge-count and spectral certificates.
 """
 
-import bisect
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -30,6 +31,9 @@ CLAMP = 700.0
 ENUM_MAX_VERTICES = 6
 KERNEL_MAX_STATES = 4096
 RESYNC_SWEEPS = 64
+# a sweep reads its random words this many at a time; the chunk is held as
+# Python ints, about 36 bytes each
+DRAW_CHUNK = 512
 # detection defaults: hub rows have degree at least (1 - DELTA_HUB) n, and a
 # clique block has inner density at least 1 - 2 XI
 DELTA_HUB = 0.5
@@ -51,6 +55,14 @@ def _sigmoid(z):
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def _heat_bath_probability(x, logit):
+    """The chance that a heat-bath step sets a pair to 1 when that raises
+    the tilt r H by x: sigmoid(clamp(x) + logit p), where the clamp gives
+    what min(CLAMP, max(-CLAMP, x)) gives, NaN to -CLAMP included."""
+    z = (x if x < CLAMP else CLAMP) if x > -CLAMP else -CLAMP
+    return _sigmoid(z + logit)
 
 
 def _live_spec(spec):
@@ -76,6 +88,59 @@ def chain_rng(seed, chain):
     """Counter-based generator stream, fully determined by (seed, chain)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chain),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _pair_draws(rng, m):
+    """Yield pairs (k, u), each what int(rng.integers(m)) and then
+    rng.random() give, from the 64-bit words of rng's Philox stream read
+    DRAW_CHUNK at a time.  Once closed it leaves rng where those scalar
+    calls would have left it.
+
+    This replays numpy's own algorithms: k is Lemire's 32-bit bounded
+    integer, fed half-words through Philox's has_uint32/uinteger buffer,
+    low half first; u is (w >> 11) 2^-53 from one whole word; m = 1 draws
+    no word for k.
+    """
+    bits = getattr(rng, "bit_generator", None)
+    if not isinstance(bits, np.random.Philox):
+        raise CapabilityError("a sweep replays numpy's Philox draws, not %s"
+                              % type(rng if bits is None else bits).__name__)
+    if not 1 <= m <= 2 ** 32:
+        raise CapabilityError("a sweep draws from at most 2^32 pairs")
+    chunk = DRAW_CHUNK
+    state = bits.state  # where the current chunk starts
+    has, half = state["has_uint32"], state["uinteger"]
+    words, used = bits.random_raw(chunk).tolist(), 0
+    # a product whose low half falls below this is redrawn
+    reject = (2 ** 32 - m) % m
+    try:
+        while True:
+            k = 0
+            if m > 1:
+                while True:
+                    if has:
+                        has, x = 0, half
+                    else:
+                        if used == chunk:
+                            state = bits.state
+                            words, used = bits.random_raw(chunk).tolist(), 0
+                        w = words[used]
+                        used += 1
+                        x, half, has = w & 0xFFFFFFFF, w >> 32, 1
+                    x *= m
+                    if x & 0xFFFFFFFF >= reject:
+                        break
+                k = x >> 32
+            if used == chunk:
+                state = bits.state
+                words, used = bits.random_raw(chunk).tolist(), 0
+            u = (words[used] >> 11) * 2.0 ** -53
+            used += 1
+            yield k, u
+    finally:
+        state["has_uint32"], state["uinteger"] = has, half
+        bits.state = state
+        bits.random_raw(used, output=False)
 
 
 class ErgmChain:
@@ -128,36 +193,40 @@ class ErgmChain:
         return np.array([hom_density(f, self.adj, scale=self.p)
                          for f in self.family])
 
-    def _heat_bath(self, i, j):
-        """(deltas, q): the pair's density changes, or None when nothing is
-        tilted, and the heat-bath probability that the pair is set to 1."""
-        if self.spec is None:
-            return None, self.p
+    def _step(self, k, u):
+        """The heat-bath step on pair k, the k-th of combinations(range(n),
+        2).  Returns the probability q that the step sets the pair to 1
+        and, given a uniform u, sets the pair to 1 if u < q and to 0
+        otherwise."""
+        offsets = self.offsets
+        i = bisect_right(offsets, k) - 1
+        j = k - offsets[i] + i + 1
         a = self.adj.item(i, j)
-        deltas = [rule(i, j, a) for rule in self._rules]
-        t = self._t
-        if a:
-            t_hi, t_lo = t, [x - d for x, d in zip(t, deltas)]
+        spec = self.spec
+        if spec is None:
+            deltas, q = None, self.p
         else:
-            t_hi, t_lo = [x + d for x, d in zip(t, deltas)], t
-        dh = h_float(self.spec, t_hi) - h_float(self.spec, t_lo)
-        z = min(CLAMP, max(-CLAMP, self.r * dh)) + self.logit
-        return deltas, _sigmoid(z)
+            t = self._t
+            deltas = [rule(i, j, a) for rule in self._rules]
+            if a:
+                t_hi, t_lo = t, list(map(sub, t, deltas))
+            else:
+                t_hi, t_lo = list(map(add, t, deltas)), t
+            dh = h_float(spec, t_hi) - h_float(spec, t_lo)
+            q = _heat_bath_probability(self.r * dh, self.logit)
+        if u is not None and (u < q) != a:  # the drawn value is not a
+            self._flip(i, j, a, deltas)
+        return q
 
-    def _set(self, i, j, value, deltas):
-        """Set pair {i, j} to 1 if value else 0; deltas are its density
-        changes, or None to compute them if the pair flips."""
-        value = 1.0 if value else 0.0
-        a = self.adj.item(i, j)
-        if a == value:
-            return
+    def _flip(self, i, j, a, deltas):
+        """Toggle pair {i, j}, whose value is a; deltas are its density
+        changes, or None to compute them."""
+        value = 1.0 - a
         if self._rules:
             if deltas is None:
                 deltas = [rule(i, j, a) for rule in self._rules]
-            self._t = ([x + d for x, d in zip(self._t, deltas)] if value
-                       else [x - d for x, d in zip(self._t, deltas)])
-        self.adj[i, j] = value
-        self.adj[j, i] = value
+            self._t = list(map(add if value else sub, self._t, deltas))
+        self.adj[i, j] = self.adj[j, i] = value
         self.deg[i] += value - a
         self.deg[j] += value - a
         self.flips += 1
@@ -171,23 +240,31 @@ class ErgmChain:
     def edge_probability(self, i, j):
         """Heat-bath probability that pair {i, j} is set to 1."""
         self._check_pair(i, j)
-        return self._heat_bath(i, j)[1]
+        i, j = min(i, j), max(i, j)
+        return self._step(self.offsets[i] + j - i - 1, None)
 
     def set_edge(self, i, j, value):
         self._check_pair(i, j)
-        self._set(i, j, value, None)
+        a = self.adj.item(i, j)
+        if (1.0 if value else 0.0) != a:
+            self._flip(i, j, a, None)
 
     def step(self, rng):
-        k = int(rng.integers(self.pair_count))
-        i = bisect.bisect_right(self.offsets, k) - 1
-        j = k - self.offsets[i] + i + 1
-        deltas, q = self._heat_bath(i, j)
-        self._set(i, j, rng.random() < q, deltas)
+        self._step(int(rng.integers(self.pair_count)), rng.random())
         self.steps += 1
 
     def sweep(self, rng):
-        for _ in range(self.pair_count):
-            self.step(rng)
+        """pair_count steps, with the draws of as many step(rng) calls."""
+        body = self._step
+        draws = _pair_draws(rng, self.pair_count)
+        done = 0
+        try:
+            for k, u in itertools.islice(draws, self.pair_count):
+                body(k, u)
+                done += 1
+        finally:
+            draws.close()
+            self.steps += done
         self.sweeps += 1
         if self.sweeps % RESYNC_SWEEPS == 0:
             self.resync()
@@ -303,8 +380,7 @@ def _probability_table(n, p, spec):
     table = []
     for s in range(1 << m):
         dh = [h[s | 1 << k] - h[s & ~(1 << k)] for k in range(m)]
-        table.append([_sigmoid(min(CLAMP, max(-CLAMP, r * d)) + logit)
-                      for d in dh])
+        table.append([_heat_bath_probability(r * d, logit) for d in dh])
     return table, m
 
 

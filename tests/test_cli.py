@@ -396,7 +396,7 @@ def test_rerun_is_byte_identical(capsys, tmp_path):
 # emitted files byte-identical
 FIGURE_DIGESTS = {
     "fig2A": "a409432c87994c3dd1a6eecc4f7aef4fc5e1018005786e6228d22f431e3e8ef8",
-    "fig2B": "87cb079060509ab80d6d859462df98066e0bd6da3dc35a845bd6305b7833cbfc",
+    "fig2B": "dbf5a0e4da9f973133d659699c39059d504407197383d35dc18cb2fef069c3c6",
     "fig2C": "afda826aa130e83e5af5c9114a69b4e75c3a6e23260d92f4ba04f6a37347551b",
     "fig2D": "cec0cd6810902adb4386dea8d845278b5206fb382358aae768aa502bd4d3cfb1",
     "fig3": "b1dc2d8219d4b1a3dfead34dd50e43bb87d5f4e781655aa25a4b595b58c492f6",

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import scipy.special
 
-from cliquehub.errors import DomainError, InternalError
+from cliquehub.errors import CapabilityError, DomainError, InternalError
 from cliquehub.hamiltonian import HamiltonianSpec, HamiltonianTerm, h_value
 from cliquehub.motifs import hom_density, hom_density_delta, motif_from_name
+from cliquehub import sampler
 from cliquehub.nmf import overlay_matrix
 from cliquehub.sampler import (
     CLAMP,
     ErgmChain,
+    _pair_draws,
     _probability_table,
     _sample_bytes,
     _sigmoid,
@@ -314,6 +316,125 @@ def test_chain_rng_streams():
     c = chain_rng(11, 0).random(4)
     assert not np.allclose(a, b)
     assert np.allclose(a, c)
+
+
+def same_state(a, b):
+    """Two bit generator states, nested dicts of ints and arrays, agree."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+# 4,191,960 pairs at n = 2896, the largest sample; 2^31 + 11 rejects often
+@pytest.mark.parametrize("m", [1, 3, 7, 4950, 4191960, 2 ** 31 + 11])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 512])
+def test_pair_draws_replay_the_scalar_draws(m, seed, buffered, chunk,
+                                            monkeypatch):
+    # the replay gives what int(integers(m)), random() give pair by pair and
+    # leaves the generator where they leave it, whether the half-word buffer
+    # starts empty or full; chunks of 1 to 3 words refill inside a pair and
+    # carry a buffered half-word over the refill.  A numpy release that
+    # changes either algorithm fails here: the sweep has no fallback.
+    want_rng, got_rng = chain_rng(seed, 0), chain_rng(seed, 0)
+    if buffered:
+        want_rng.integers(5)
+        got_rng.integers(5)
+        assert got_rng.bit_generator.state["has_uint32"] == 1
+    count = 700 if chunk < 512 else 3000
+    want = [(int(want_rng.integers(m)), want_rng.random())
+            for _ in range(count)]
+    monkeypatch.setattr(sampler, "DRAW_CHUNK", chunk)
+    draws = _pair_draws(got_rng, m)
+    got = [pair for _, pair in zip(range(count), draws)]
+    draws.close()
+    assert got == want
+    assert same_state(got_rng.bit_generator.state,
+                      want_rng.bit_generator.state)
+    assert got_rng.random() == want_rng.random()
+    assert got_rng.integers(m) == want_rng.integers(m)
+
+
+@pytest.mark.parametrize("stop", [0, 1, 2, 5, 6])
+def test_pair_draws_stopped_early_leave_the_scalar_state(stop, monkeypatch):
+    # a consumer that stops after some pairs, or before the first, leaves
+    # the generator after exactly that many scalar pairs
+    want_rng, got_rng = chain_rng(7, 0), chain_rng(7, 0)
+    for _ in range(stop):
+        want_rng.integers(4950)
+        want_rng.random()
+    monkeypatch.setattr(sampler, "DRAW_CHUNK", 3)
+    draws = _pair_draws(got_rng, 4950)
+    for _ in range(stop):
+        next(draws)
+    draws.close()
+    assert same_state(got_rng.bit_generator.state,
+                      want_rng.bit_generator.state)
+
+
+def k12_c3_spec():
+    return HamiltonianSpec(("K12", "C3"), (HamiltonianTerm(0, 0.7, 1.0, 0.6),
+                                           HamiltonianTerm(1, 0.4, 1.0, 0.45)))
+
+
+def assert_twins(chain, twin, rng, twin_rng):
+    assert np.array_equal(chain.adj, twin.adj)
+    assert chain.deg == twin.deg and chain._t == twin._t
+    assert (chain.flips, chain.steps) == (twin.flips, twin.steps)
+    assert same_state(rng.bit_generator.state, twin_rng.bit_generator.state)
+
+
+def test_sweep_equals_pair_count_steps():
+    # a sweep is pair_count calls of step on the same generator, bit for bit
+    n, p = 12, 0.2
+    chain, twin = (ErgmChain(n, p, k12_c3_spec(),
+                             adjacency=er_graph(n, p, 8)) for _ in range(2))
+    rng, twin_rng = chain_rng(8, 0), chain_rng(8, 0)
+    for sweeps in range(1, 4):
+        chain.sweep(rng)
+        for _ in range(twin.pair_count):
+            twin.step(twin_rng)
+        assert_twins(chain, twin, rng, twin_rng)
+        assert chain.sweeps == sweeps and twin.sweeps == 0
+    assert 0 < chain.flips < chain.steps == 3 * chain.pair_count
+
+
+def test_sweep_stopped_by_a_domain_error_leaves_the_step_state():
+    # the non-finite delta of test_non_finite_toggle_delta_is_a_domain_error,
+    # met at step 411 of the first sweep on this seed: the sweep stops where
+    # step stops, with the generator where step leaves it
+    n = 100
+    adj = np.zeros((n, n))
+    adj[0, 2] = adj[2, 0] = adj[1, 2] = adj[2, 1] = 1.0
+    chain, twin = (ErgmChain(n, 1e-107, spec=triangle_spec(1.0),
+                             adjacency=adj) for _ in range(2))
+    rng, twin_rng = chain_rng(0, 0), chain_rng(0, 0)
+    with pytest.raises(DomainError, match="not finite"):
+        chain.sweep(rng)
+    with pytest.raises(DomainError, match="not finite"):
+        for _ in range(twin.pair_count):
+            twin.step(twin_rng)
+    assert chain.steps == 410 and chain.sweeps == 0
+    assert_twins(chain, twin, rng, twin_rng)
+
+
+@pytest.mark.parametrize("rng", [np.random.default_rng(0),
+                                 np.random.Generator(np.random.MT19937(0)),
+                                 StubGenerator(0, 0.5)])
+def test_sweep_needs_a_philox_generator(rng):
+    # the replay is numpy's Philox stream; any other generator is refused
+    # before a draw or a step, and step still takes it
+    chain = ErgmChain(6, 0.3, spec=triangle_spec(1.0))
+    state = getattr(rng, "bit_generator", None)
+    state = state.state if state is not None else None
+    with pytest.raises(CapabilityError, match="Philox"):
+        chain.sweep(rng)
+    assert chain.steps == chain.sweeps == 0
+    if state is not None:
+        assert same_state(rng.bit_generator.state, state)
+    chain.step(rng)
+    assert chain.steps == 1
 
 
 def test_spectral_distance_examples():

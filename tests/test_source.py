@@ -356,3 +356,38 @@ def test_one_bisection():
                 if isinstance(target, ast.Name) and target.id in ends:
                     found.add("%s:%s" % (path.name, function))
     assert sorted(found) == ["motifs.py:bracket_root"]
+
+
+def _method(tree, cls, name):
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    return owner, next(node for node in owner.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == name)
+
+
+def _called(node, names):
+    """Calls in node of a function or method named in names, as written."""
+    return [ast.unparse(call.func) for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and (call.func.id if isinstance(call.func, ast.Name) else
+                 getattr(call.func, "attr", None)) in names]
+
+
+def test_one_heat_bath_step():
+    # ErgmChain._step is the one step body: step and sweep both feed it, so
+    # the chain takes the heat-bath logistic at one call site, and a sweep
+    # takes its draws from the replayed block, never from scalar calls,
+    # whether made in sweep, in the replay or through step
+    path = pathlib.Path(cliquehub.__file__).parent / "sampler.py"
+    tree = ast.parse(path.read_text(), str(path))
+    chain, sweep = _method(tree, "ErgmChain", "sweep")
+    _, body = _method(tree, "ErgmChain", "_step")
+    draws = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_pair_draws")
+    logistic = ("_heat_bath_probability", "_sigmoid", "exp")
+    assert _called(chain, logistic) == _called(body, logistic) == [
+        "_heat_bath_probability"]
+    scalar = ("integers", "random", "step")
+    assert _called(sweep, scalar) == _called(draws, scalar) == []
