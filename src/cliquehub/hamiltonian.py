@@ -10,7 +10,8 @@ dual sup_s { h(1 + s) - phi(s) } in psi_solve.
 The single-motif model with f(x) = (x - shift)_+^(gamma / e(F)) gets a
 dedicated solver that locates the hub/clique branch maximizers, the branch
 crossover s_c, and the critical coupling beta_c where the clique branch takes
-over.
+over.  Each 1-D search here, _max_1d's and solve_beta_o's, scans a grid and
+halves a cell with motifs.bracket_root on the sign of a closed-form slope.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .motifs import (_is_int, bracket_root, indep_poly,  # noqa: F401
                      load_json, motif_from_name, resolve_motif,
                      validate_family)
 from .planar import PlanarProgram, Surrogate
-
-GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class HamiltonianTerm:
@@ -118,6 +116,17 @@ def _h_terms(spec, x, maximum):
 def h_value(spec, x):
     """h(x) for a density vector x (vectorized over trailing shapes)."""
     return _h_terms(spec, np.asarray(x, dtype=float), np.maximum)
+
+
+def h_grad(spec, x):
+    """The partials dh/dx_k at one density vector x, one for each motif; 0
+    where x_k is at or below the shift of every term on motif k."""
+    g = np.zeros(len(spec.family))
+    for term in spec.terms:
+        excess = x[term.k] - term.shift
+        if excess > 0.0:
+            g[term.k] += term.beta * term.gamma * excess ** (term.gamma - 1.0)
+    return g
 
 
 def _larger(a, b):
@@ -346,9 +355,21 @@ def direct_route(spec):
     flat = np.argsort(vals.ravel())[::-1][:10]
     starts = [(aa.ravel()[i], bb.ravel()[i]) for i in flat]
     # the maxima on the two axes give each phase of a tie its own start;
-    # zeros_like keeps t_values rectangular when a motif is irregular
-    b_hub = _max_1d(lambda t: g(np.zeros_like(t), t), 0.0, size)[0]
-    a_clique = _max_1d(lambda t: g(t, np.zeros_like(t)), 0.0, size)[0]
+    # zeros_like keeps t_values rectangular when a motif is irregular, and
+    # dT_k/db = P_k'(b), dT_k/da = (v_k/2) a^(v_k/2 - 1) [F_k regular]
+    def hub_slope(b):
+        grad = h_grad(spec, prog.t_values(0.0, b))
+        return sum(d * t.hub_poly.deriv(b)
+                   for d, t in zip(grad, prog.surrogates)) - 1.0
+
+    def clique_slope(a):
+        grad = h_grad(spec, prog.t_values(a, 0.0))
+        return sum(d * 0.5 * t.v * a ** (0.5 * t.v - 1.0)
+                   for d, t in zip(grad, prog.surrogates) if t.regular) - 0.5
+
+    b_hub = _max_1d(lambda t: g(np.zeros_like(t), t), hub_slope, 0.0, size)[0]
+    a_clique = _max_1d(lambda t: g(t, np.zeros_like(t)), clique_slope,
+                       0.0, size)[0]
     starts += [(0.0, b_hub), (a_clique, 0.0)]
 
     def neg(u):
@@ -479,35 +500,20 @@ class EdgeFSolution:
     warnings: list = field(default_factory=list)
 
 
-def _golden(fun, lo, hi):
-    x1 = hi - GOLD * (hi - lo)
-    x2 = lo + GOLD * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(140):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLD * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLD * (hi - lo)
-            f1 = fun(x1)
-        if hi - lo < 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            break
-    x = 0.5 * (lo + hi)
-    return x, fun(x)
+def _max_1d(fun, slope, lo, hi, grid_n=1601):
+    """(argmax, max, ambiguous) of fun on [lo, hi]; fun takes arrays too.
 
-
-def _max_1d(fun, lo, hi, dfun=None, grid_n=1601):
-    """Grid scan plus golden-section refinement with plateau detection.
-
-    Returns (argmax, max, ambiguous); golden section runs from the
-    best grid cell and from up to 7 other near-optimal cells, and the runs
-    count as ambiguous when their arguments disagree by 1e-5 while the
-    values agree to 1e-9.
+    A grid scan picks up to 8 near-optimal cells.  Each cell's bracket is
+    halved by bracket_root to adjacent floats where slope turns from
+    positive to not positive, and the better end is kept; an endpoint of
+    [lo, hi] wins a tie.  The result is ambiguous when cells within 1e-9 of
+    the best lie 1e-5 apart.
     """
+    def value(t):
+        return float(fun(np.float64(t)))
+
     if hi <= lo:
-        return lo, float(fun(np.float64(lo))), False
+        return lo, value(lo), False
     grid = np.linspace(lo, hi, grid_n)
     vals = fun(grid)
     order = np.argsort(vals)[::-1]
@@ -523,29 +529,14 @@ def _max_1d(fun, lo, hi, dfun=None, grid_n=1601):
             break
     results = []
     for c in cells:
-        g_lo = grid[max(c - 1, 0)]
-        g_hi = grid[min(c + 1, grid_n - 1)]
-        x, v = _golden(lambda t: float(fun(np.float64(t))), g_lo, g_hi)
-        if dfun is not None and g_lo < x < g_hi:
-            for _ in range(8):
-                d1 = dfun(x)
-                step = 1e-7 * (1.0 + abs(x))
-                d2 = (dfun(x + step) - dfun(x - step)) / (2 * step)
-                if not np.isfinite(d1) or not np.isfinite(d2) or d2 >= 0:
-                    break
-                x_new = x - d1 / d2
-                if not g_lo <= x_new <= g_hi:
-                    break
-                x = x_new
-            v2 = float(fun(np.float64(x)))
-            if v2 >= v:
-                v = v2
-        results.append((x, v))
-    results.sort(key=lambda t: -t[1])
-    x_best, v_best = results[0]
-    # endpoint maxima are exact; prefer them over golden-section dust
+        ends = float(grid[max(c - 1, 0)]), float(grid[min(c + 1, grid_n - 1)])
+        if slope(ends[0]) > 0.0 and not slope(ends[1]) > 0.0:
+            ends = bracket_root(lambda t: slope(t) > 0.0, *ends)
+        results.append(max(((x, value(x)) for x in ends), key=lambda r: r[1]))
+    x_best, v_best = max(results, key=lambda r: r[1])
+    # endpoint maxima are exact; prefer them on a tie
     for end in (lo, hi):
-        v_end = float(fun(np.float64(end)))
+        v_end = value(end)
         if v_end >= v_best:
             x_best, v_best = end, v_end
     close = [x for x, v in results if v >= v_best - 1e-9 * scale]
@@ -612,7 +603,8 @@ class _Branches:
 
     def branch_max(self, beta, branch, grid_n=1601):
         """(argmax, max, ambiguous) of the "hub" branch over b, on [0, b_c]
-        for a regular motif, or of the "clique" branch over s >= s_c."""
+        for a regular motif, or of the "clique" branch over s >= s_c, by
+        _max_1d on the branch's value and its closed-form slope."""
         f, f_prime, t = self.f, self.f_prime, self.surrogate
         if branch == "hub":
             # parameterized by b: s = P(b) - 1, cost b
@@ -636,7 +628,7 @@ class _Branches:
             hi = 0.5 * t.clique(self.s_c)
         else:
             hi = _grow_domain(value, lo, max(2.0 * lo, 8.0), branch)
-        return _max_1d(value, lo, hi, dfun=slope, grid_n=grid_n)
+        return _max_1d(value, slope, lo, hi, grid_n=grid_n)
 
 
 # beta_c and beta_o read only the core, the exponent and the shift
@@ -686,10 +678,22 @@ def solve_beta_o(model):
                            np.geomspace(max(lo + 1.0, 1.0), 1e6, 200)])
     vals = ratio(grid)
     i = int(np.argmin(vals))
-    g_lo = grid[max(i - 1, 0)]
-    g_hi = grid[min(i + 1, len(grid) - 1)]
-    x, neg_val = _golden(lambda t: -float(ratio(np.float64(t))), g_lo, g_hi)
-    return float(min(vals[i], -neg_val))
+    t = br.surrogate
+
+    def falling(s):
+        # the ratio's slope has the sign of phi' (f(1+s) - f(1)) - phi
+        # f'(1+s), with phi' taken on phi's active piece
+        b = t.hub(s)
+        if t.regular and 0.5 * t.clique(s) <= b:
+            phi, dphi = 0.5 * t.clique(s), 0.5 * t.clique_deriv(s)
+        else:
+            phi, dphi = b, 1.0 / t.hub_poly.deriv(b)
+        return dphi * (br.f(1.0 + s) - br.f(1.0)) < phi * br.f_prime(1.0 + s)
+
+    ends = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    if falling(ends[0]) and not falling(ends[1]):
+        ends = bracket_root(falling, *ends)
+    return float(min(vals[i], *ratio(np.array(ends))))
 
 
 # an overflowing branch is reported as a DomainError below, not a warning

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
 # psi_solve is not called here; perfbench's tracer wraps it on this module
-from .hamiltonian import direct_route, h_value, psi_solve  # noqa: F401
+from .hamiltonian import direct_route, h_grad, h_value, psi_solve  # noqa: F401
 from .motifs import (WeightTable, _as_matrix, bracket_root, hom_density,
                      hom_density_grad, rate, resolve_motif, validate_family)
 from .planar import PlanarProgram, PlanarSolution
@@ -181,15 +181,6 @@ def _densities(prob, x):
     return np.array([hom_density(f, x, scale=prob.p) for f in prob.family])
 
 
-def _h_partials(spec, t):
-    g = np.zeros(len(spec.family))
-    for term in spec.terms:
-        excess = t[term.k] - term.shift
-        if excess > 0.0:
-            g[term.k] += term.beta * term.gamma * excess ** (term.gamma - 1.0)
-    return g
-
-
 def nmf_objective(prob, Q):
     """Value of r h(t) - Ent_p(Q) and the density vector t."""
     x = _as_matrix(Q)
@@ -202,7 +193,7 @@ def nmf_gradient(prob, Q):
     """Gradient of the tilted objective under the pair-weight convention."""
     x = _as_matrix(Q)
     t = _densities(prob, x)
-    hp = _h_partials(prob.spec, t)
+    hp = h_grad(prob.spec, t)
     g = np.zeros_like(x)
     for k, f in enumerate(prob.family):
         if hp[k] != 0.0:

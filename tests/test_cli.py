@@ -490,7 +490,7 @@ def test_edge_f_beta_grid_csv(capsys, tmp_path):
     # sha256 of the table at the commit that introduced the pin; a change
     # meant to alter its bits updates this value and says why
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-        "1672ad8d6ce57c058328bd495fdacee6eac935c127e593ebe982678edfe86f09")
+        "c753f6011909ff80c8bd8bb5ff6b03580979a100f5da30972f108e18652b5858")
     # without --out the run record sits next to the emitted file, not in cwd
     assert (tmp_path / "manifest.json").exists()
     assert not os.path.exists("manifest.json")

@@ -125,6 +125,25 @@ def test_h_float_gives_h_value_past_the_float_range():
         assert h_float(spec, x) == float(h_value(spec, np.array(x))) == math.inf
 
 
+def test_h_grad_matches_central_differences_of_h_value():
+    # two terms share C3, one with gamma below 1 and one above; the C4 term
+    # has gamma above 1, and at a C4 density below its shift the partial is
+    # exactly 0
+    spec = HamiltonianSpec(("K12", "C3", "C4"),
+                           (HamiltonianTerm(0, 0.7, 1.0, 0.6),
+                            HamiltonianTerm(1, 1.3, 0.9, 0.4),
+                            HamiltonianTerm(1, 0.5, 1.5, 1.7),
+                            HamiltonianTerm(2, 0.2, 1.2, 2.5)))
+    step = 1e-6
+    for x in ([1.8, 2.3, 2.0], [1.3, 1.2, 0.7]):
+        x = np.array(x)
+        grad = hamiltonian.h_grad(spec, x)
+        for k, e in enumerate(np.eye(3) * step):
+            central = (h_value(spec, x + e) - h_value(spec, x - e)) / (2 * step)
+            assert grad[k] == pytest.approx(central, rel=1e-7), (x, k)
+    assert hamiltonian.h_grad(spec, np.array([1.3, 1.2, 0.7]))[2] == 0.0
+
+
 def test_psi_triangle_hub_phase():
     # raw exponent 1/3 is the triangle model at literature-scale gamma 1
     spec = HamiltonianSpec(("C3",), (HamiltonianTerm(0, 1.0, 1.0, 1 / 3),))
@@ -326,6 +345,40 @@ def test_nelder_mead_repeats_scipy_bit_for_bit(monkeypatch):
     assert cut_shrinks >= 2
 
 
+def test_max_1d_halves_on_the_slope():
+    max_1d = hamiltonian._max_1d
+    # a smooth interior maximum, to adjacent floats: the slope is positive
+    # one float below the returned point and not at it
+    third = 1.0 / 3.0
+
+    def slope(t):
+        return 2.0 * (third - t)
+
+    x, v, ambiguous = max_1d(lambda t: -(t - third) ** 2, slope, 0.0, 1.0)
+    assert (x, v, ambiguous) == (third, 0.0, False)
+    assert slope(math.nextafter(x, -math.inf)) > 0.0 >= slope(x)
+    # a kink, where the slope jumps from 1 to -1
+    kink = math.pi / 4.0
+    x, v, ambiguous = max_1d(lambda t: -abs(t - kink),
+                             lambda t: 1.0 if t < kink else -1.0, 0.0, 1.0)
+    assert (x, v, ambiguous) == (kink, 0.0, False)
+    # endpoint maxima, where the slope keeps one sign
+    assert max_1d(lambda t: -(t + 1.0) ** 2, lambda t: -2.0 * (t + 1.0),
+                  0.0, 1.0) == (0.0, -1.0, False)
+    assert max_1d(lambda t: t, lambda t: 1.0, 0.0, 2.0) == (2.0, 2.0, False)
+    # an endpoint wins a tie with an interior maximum, which makes the
+    # maximum ambiguous
+    x, v, ambiguous = max_1d(lambda t: -(t * (t - 0.5)) ** 2,
+                             lambda t: -2.0 * t * (t - 0.5) * (2.0 * t - 0.5),
+                             0.0, 1.0)
+    assert (x, v, ambiguous) == (0.0, 0.0, True)
+    # two interior peaks of one height: a plateau reported as ambiguous
+    x, v, ambiguous = max_1d(
+        lambda t: -((t - 0.25) * (t - 0.75)) ** 2,
+        lambda t: -2.0 * (t - 0.25) * (t - 0.75) * (2.0 * t - 1.0), 0.0, 1.0)
+    assert x in (0.25, 0.75) and v == 0.0 and ambiguous is True
+
+
 def test_s_c_triangle():
     assert solve_s_c(motif_from_name("C3")) == pytest.approx(27 / 8, abs=1e-9)
     with pytest.raises(DomainError):
@@ -437,33 +490,33 @@ def test_beta_o_cases():
 # to alter them updates these values and says why.
 EDGE_F_PIN = {
     ("C3", 1.0, 1.0, 1.0): (
-        3.374999999999998, 1.7777777777777768, 0.0, "hub", 1.0,
-        0.6666666666666666, 3.374999999999998, 0.3750000000000002, 1.0,
-        2.249999999999999, 0.33333333333333337, 0.6666666666666666, False,
-        []),
+        3.374999999999998, 1.7777777777777768, 0.0, "hub", 0.9999999999999993,
+        0.6666666666666667, 3.374999999999998, 0.3750000000000002,
+        0.9999999999999993, 2.249999999999999, 0.3333333333333331,
+        0.6666666666666667, False, []),
     ("C3", 1.78, 1.0, 1.0): (
         3.374999999999998, 1.7777777777777768, 0.0, "clique",
-        2.3748162034144866, 1.583210802276325, 5.639751999999998,
-        1.5842000000000003, 5.639751999999998, 3.168399999999999,
-        0.7916054011381622, 1.5842000000000003, False, []),
+        2.374816203414486, 1.583210802276325, 5.639751999999998, 1.5842,
+        5.639751999999998, 3.168399999999999, 0.7916054011381621, 1.5842,
+        False, []),
     ("C3", 2.5, 1.0, 1.0): (
         3.374999999999998, 1.7777777777777768, 0.0, "clique",
-        3.3749999999999982, 2.625, 15.624999999999995, 3.1250000000000004,
-        15.624999999999995, 6.249999999999998, 1.1249999999999996,
+        3.3749999999999982, 2.625, 15.624999999999988, 3.1250000000000004,
+        15.624999999999988, 6.2499999999999964, 1.1249999999999996,
         3.1250000000000004, False, []),
     ("K12", 1.0, 0.9, 1.0): (
-        None, None, 0.0, "hub", 0.23414090776001273, 0.2861722205955711,
-        None, -math.inf, 0.23414090776001273, None, 0.2341409077600128,
-        0.2861722205955711, False, []),
+        None, None, 0.0, "hub", 0.23414090776001295, 0.28617222059557124,
+        None, -math.inf, 0.23414090776001295, None, 0.23414090776001284,
+        0.28617222059557124, False, []),
     ("C4", 1.0, 1.0, 2.0): (
-        15.999999999999991, 2.184615011153181, 0.38205271346027664, "hub",
-        2.790095042986894, 0.6091013298743391, 15.999999999999991,
-        -0.032010328734569216, 2.790095042986894, 3.9999999999999987,
-        0.5475941074756802, 0.6091013298743391, False, []),
+        15.999999999999991, 2.1846150111531815, 0.3820527134602766, "hub",
+        2.7900950429868936, 0.6091013298743391, 15.999999999999991,
+        -0.032010328734569216, 2.7900950429868936, 3.9999999999999987,
+        0.54759410747568, 0.6091013298743391, False, []),
     ("K12", 3.0, 0.9, 1.5): (
-        None, None, 1.3592157301534442, "hub", 2.2257206192607852,
-        1.6092140902076268, None, -math.inf, 2.2257206192607852, None,
-        2.2257206192607852, 1.6092140902076268, False, []),
+        None, None, 1.3592157301534435, "hub", 2.225720619260785,
+        1.6092140902076268, None, -math.inf, 2.225720619260785, None,
+        2.225720619260785, 1.6092140902076268, False, []),
 }
 
 

@@ -358,6 +358,46 @@ def test_one_bisection():
     assert sorted(found) == ["motifs.py:bracket_root"]
 
 
+def _fraction_step(expr):
+    """True for an end of an interval plus or minus a fixed share of its
+    width, as in lo + c * (hi - lo) or hi - (hi - lo) * c, where c is a
+    constant or a name and lo and hi are names."""
+    if not (isinstance(expr, ast.BinOp)
+            and isinstance(expr.op, (ast.Add, ast.Sub))):
+        return False
+    pairs = [(expr.left, expr.right)]
+    if isinstance(expr.op, ast.Add):
+        pairs.append((expr.right, expr.left))
+    for end, step in pairs:
+        if not (isinstance(end, ast.Name) and isinstance(step, ast.BinOp)
+                and isinstance(step.op, ast.Mult)):
+            continue
+        for share, width in ((step.left, step.right),
+                             (step.right, step.left)):
+            if isinstance(share, (ast.Constant, ast.Name)) and \
+                    isinstance(width, ast.BinOp) and \
+                    isinstance(width.op, ast.Sub) and \
+                    isinstance(width.left, ast.Name) and \
+                    isinstance(width.right, ast.Name) and \
+                    end.id in (width.left.id, width.right.id):
+                return True
+    return False
+
+
+def test_one_line_search():
+    # _max_1d halves on the sign of a slope through bracket_root; a loop
+    # that moves a constant fraction into an interval, as golden section
+    # does with lo + c * (hi - lo), is a second 1-D search
+    found = set()
+    for path in SOURCES:
+        for function, loop in _loops(ast.parse(path.read_text(), str(path))):
+            if path.name == "motifs.py" and function == "bracket_root":
+                continue
+            if any(_fraction_step(node) for node in ast.walk(loop)):
+                found.add("%s:%s" % (path.name, function))
+    assert sorted(found) == []
+
+
 def _method(tree, cls, name):
     owner = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == cls)
