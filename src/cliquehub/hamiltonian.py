@@ -424,7 +424,7 @@ def psi_solve(spec, seed=0):
     def dual_val(s):
         if not np.all(np.isfinite(s)) or s.max(initial=0.0) > 1e100:
             return -math.inf
-        return float(h_value(spec, 1.0 + s) - prog.solve(s).value)
+        return float(h_value(spec, 1.0 + s) - prog.value(s))
 
     def neg_dual(u):
         return -dual_val(u * u)
@@ -597,9 +597,11 @@ class _Branches:
         return np.maximum(np.asarray(x, dtype=float) - self.shift, 0.0) ** self.gq
 
     def f_prime(self, x):
-        rest = np.maximum(np.asarray(x, dtype=float) - self.shift, 0.0)
-        safe = np.where(rest > 0.0, rest, 1.0)
-        return np.where(rest > 0.0, self.gq * safe ** (self.gq - 1.0), 0.0)
+        """f'(x) at one plain float x.  The power is numpy's, as in f: where
+        numpy vectorizes it, it can differ from Python's ** in the last bit,
+        and that moves the slope signs the halving reads."""
+        rest = x - self.shift
+        return self.gq * np.power(rest, self.gq - 1.0) if rest > 0.0 else 0.0
 
     def branch_max(self, beta, branch, grid_n=1601):
         """(argmax, max, ambiguous) of the "hub" branch over b, on [0, b_c]

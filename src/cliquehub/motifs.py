@@ -22,6 +22,7 @@ import json
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,20 +197,26 @@ class IndepPoly:
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs[0] != 1.0:
             raise DomainError("independence polynomial must have constant term 1")
-        # plain-float copies keep the scalar Horner loops off numpy scalars
-        self._rev = [float(c) for c in self.coeffs[::-1]]
+        # plain-float copies keep the scalar Horner loops off numpy scalars;
+        # rev runs from the top coefficient down, as Horner reads it
+        self.rev = [float(c) for c in self.coeffs[::-1]]
         self._rev_deriv = [float(k * self.coeffs[k])
                            for k in range(len(self.coeffs) - 1, 0, -1)]
+        # (a1, a2) of P = 1 + a1 x + a2 x^2 with a1 > 0 and a2 >= 0, which
+        # inverse solves in closed form; None for any other P
+        low = [float(c) for c in self.coeffs[1:]] + [0.0, 0.0]
+        self._quadratic = ((low[0], low[1]) if len(self.coeffs) <= 3
+                           and low[0] > 0.0 and low[1] >= 0.0 else None)
 
     def __call__(self, x):
         # Horner; plain arithmetic for scalars, numpy for arrays
         if isinstance(x, (float, int)):
             y = 0.0
-            for c in self._rev:
+            for c in self.rev:
                 y = y * x + c
             return y
         y = np.zeros_like(np.asarray(x, dtype=float))
-        for c in self._rev:
+        for c in self.rev:
             y = y * x + c
         return y if y.shape else float(y)
 
@@ -220,7 +227,17 @@ class IndepPoly:
         return y
 
     def inverse(self, y):
-        """Solve P(b) = y for b >= 0; requires a finite y >= 1."""
+        """Solve P(b) = y for b >= 0; requires a finite y >= 1.
+
+        The answer is the least float b where the float P(b) reaches y.
+        Horner with nonnegative coefficients is nondecreasing in floats on
+        b >= 0, so P(x) < y holds below that float and fails from it on, and
+        halving any bracket of it with bracket_root ends on it.  For degree
+        <= 2 the bracket is b0 +- (4 ulp(y) / P'(b0) + 4 ulp(b0)) around the
+        closed form b0 = 2(y - 1) / (a1 + sqrt(a1^2 + 4 a2 (y - 1))); the
+        ulp(y) / P' term spans the flat stretch where P rounds to y.  Where
+        its ends do not straddle y (the formula overflows near the largest
+        float) and for higher degrees, _doubling_bracket finds one."""
         y = float(y)
         if not math.isfinite(y):
             raise DomainError("inverse of independence polynomial needs a "
@@ -229,17 +246,30 @@ class IndepPoly:
             raise DomainError("inverse of independence polynomial needs y >= 1")
         if y <= 1.0:
             return 0.0
-        # P(b) >= 1 + b, so the doubling stops before hi reaches 2y, or
-        # where P(hi) overflows to inf
-        hi = 1.0
-        while self(hi) < y:
-            hi *= 2.0
+        lo = hi = math.nan
+        if self._quadratic is not None:
+            a1, a2 = self._quadratic
+            t = y - 1.0
+            b0 = 2.0 * t / (a1 + math.sqrt(a1 * a1 + 4.0 * a2 * t))
+            step = 4.0 * math.ulp(y) / self.deriv(b0) + 4.0 * math.ulp(b0)
+            lo, hi = max(b0 - step, 0.0), b0 + step
+        # NaN ends fail both comparisons
+        if not self(lo) < y <= self(hi):
+            lo, hi = self._doubling_bracket(y)
         # the upper end, where P(b) >= y, so an axis endpoint meets its level
-        b = bracket_root(lambda x: self(x) < y,
-                         0.0 if hi == 1.0 else 0.5 * hi, hi)[1]
+        b = bracket_root(lambda x: self(x) < y, lo, hi)[1]
         if abs(self(b) - y) > 1e-12 * max(1.0, abs(y)):
             raise DomainError("independence polynomial inverse did not converge")
         return b
+
+    def _doubling_bracket(self, y):
+        """[lo, hi] with P(lo) < y <= P(hi), for a y > 1, found by doubling."""
+        # P(b) >= 1 + b, so the doubling stops before hi reaches 2y, where
+        # P(hi) overflows to inf, or at the largest float, as P(inf) is NaN
+        hi = 1.0
+        while self(hi) < y and hi < sys.float_info.max:
+            hi = min(2.0 * hi, sys.float_info.max)
+        return (0.0 if hi == 1.0 else 0.5 * hi), hi
 
 
 def indep_poly(motif):

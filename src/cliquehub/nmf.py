@@ -23,7 +23,6 @@ from .planar import PlanarProgram, PlanarSolution
 
 N_CAP = 256
 EPS_CLIP = 1e-9
-DBL_MIN = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -31,28 +30,18 @@ DBL_MIN = np.finfo(float).tiny
 
 
 def rel_entr(x, y):
-    """x log(x/y) elementwise, branch for branch as scipy.special.rel_entr:
-    NaN in gives NaN, x = 0 with y >= 0 gives 0, and any other x <= 0 or
-    y <= 0 gives +inf."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    out = np.where(np.isnan(x) | np.isnan(y), np.nan,
-                   np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf))
-    ok = (x > 0.0) & (y > 0.0)
-    x, y = x[ok], y[ok]
-    value = np.empty_like(x)
-    # log1p is more accurate where x and y are close; where x/y underflows
-    # or overflows, the logarithms are taken first
-    with np.errstate(over="ignore", invalid="ignore"):
+    """x log(x/y) elementwise on the domain entropy passes it: x = 0 or x in
+    [1e-9, 1], and y in (0, 1).  There it takes scipy.special.rel_entr's
+    branches: 0 at x = 0, x log1p((x - y)/y) where 0.5 < x/y < 2, as log1p
+    is more accurate where x and y are close, and x log(x/y) elsewhere.
+    scipy's other branches need x or y outside that domain, or x/y to
+    overflow, which takes a subnormal y."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = x / y
-        near = (0.5 < ratio) & (ratio < 2.0)
-        value[near] = x[near] * np.log1p((x[near] - y[near]) / y[near])
-        plain = ~near & (ratio > DBL_MIN) & (ratio < np.inf)
-        value[plain] = x[plain] * np.log(ratio[plain])
-        far = ~near & ~plain
-        value[far] = x[far] * (np.log(x[far]) - np.log(y[far]))
-    out[ok] = value
-    return out
+        near = x * np.log1p((x - y) / y)
+        plain = x * np.log(ratio)
+    return np.where(x == 0.0, 0.0,
+                    np.where((0.5 < ratio) & (ratio < 2.0), near, plain))
 
 
 def relative_entropy(q, p):

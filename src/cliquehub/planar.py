@@ -6,8 +6,14 @@ every surrogate density T_k(a, b) reaches 1 + s_k.  Each T_k is nondecreasing
 in both coordinates, so the feasible region is upward closed and the optimum
 sits where at least two constraints (counting the coordinate axes) are
 active.  The solver enumerates those corner candidates exactly: axis
-endpoints of each level curve plus pairwise curve intersections found by a
-sign scan refined with bisection.
+endpoints of each level curve plus pairwise curve intersections.  A numpy
+sign scan of two curves' gap on 513 heights picks the intersections, and
+bracket_root halves each sign change on Surrogate.level_a, the plain-float
+form of the level curve, down to adjacent floats.
+
+PlanarProgram.value(s) returns phi(s) alone from the feasible candidates;
+solve(s) shares that work and adds the optimizers with their active
+constraints, the near ties and the levels.
 """
 
 from __future__ import annotations
@@ -65,11 +71,21 @@ class Surrogate:
         self.power = 2.0 / self.v
 
     def curve_a(self, target, b):
-        """a where T(a, b) = target at height b, 0 if P_{F*}(b) reaches it."""
+        """a where T(a, b) = target at each height of the array b, 0 where
+        P_{F*}(b) reaches it."""
         rest = target - self.hub_poly(b)
-        if isinstance(rest, np.ndarray):
-            return np.where(rest > 0.0, np.maximum(rest, 0.0) ** self.power, 0.0)
-        return max(float(rest), 0.0) ** self.power
+        return np.where(rest > 0.0, np.maximum(rest, 0.0) ** self.power, 0.0)
+
+    def level_a(self, target, b):
+        """curve_a at one plain float b, in plain floats: Horner over
+        P_{F*}'s coefficients, then Python's **.  numpy's array power can
+        differ from Python's in the last bit, so every value that is kept or
+        written, and every sign that a halving reads, comes from here."""
+        rest = 0.0
+        for c in self.hub_poly.rev:
+            rest = rest * b + c
+        rest = target - rest
+        return rest ** self.power if rest > 0.0 else 0.0
 
     def clique(self, s):
         return s ** self.power
@@ -112,7 +128,8 @@ class PlanarProgram:
     def _crossings(self, i, j, levels):
         """Points where the level curves of motifs i and j meet."""
         (ti, ai, bi), (tj, aj, bj) = levels[i], levels[j]
-        ci, cj = self.surrogates[i].curve_a, self.surrogates[j].curve_a
+        si, sj = self.surrogates[i], self.surrogates[j]
+        ci, cj = si.level_a, sj.level_a
         if ai is None and aj is None:
             # two horizontal lines: no new corner
             return []
@@ -126,14 +143,12 @@ class PlanarProgram:
         def da(b):
             return ci(ti, b) - cj(tj, b)
 
+        # the scan's signs pick the candidates; level_a gives the rest
         grid = np.linspace(0.0, hi, 513)
-        d = da(grid)
-        pts = [(ci(ti, grid[t]), float(grid[t]))
-               for t in np.flatnonzero(d == 0.0)]
-        for t in np.flatnonzero(d[:-1] * d[1:] < 0.0):
-            lo, up = float(grid[t]), float(grid[t + 1])
-            # the sign at lo comes from the scalar da that the halving calls,
-            # not from d[t]: numpy's array power can differ in the last bit
+        d = si.curve_a(ti, grid) - sj.curve_a(tj, grid)
+        pts = [(ci(ti, b), b) for b in grid[d == 0.0].tolist()]
+        for t in np.flatnonzero(d[:-1] * d[1:] < 0.0).tolist():
+            lo, up = grid[t:t + 2].tolist()
             sign = 1.0 if da(lo) > 0.0 else -1.0
             lo, up = bracket_root(lambda x: sign * da(x) > 0.0, lo, up)
             b = 0.5 * (lo + up)  # rounds to one of the two adjacent ends
@@ -151,7 +166,10 @@ class PlanarProgram:
             out.append("b=0")
         return out
 
-    def solve(self, s, tie_tol=TIE_TOL):
+    def _feasible(self, s):
+        """Check the targets s and return (levels, feasible): the levels of
+        the positive targets and the feasible corners as (a, b, a/2 + b),
+        unsorted.  With no positive target the one corner is the origin."""
         s = tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
         if len(s) != len(self.surrogates):
             raise DomainError("need one target per motif")
@@ -164,9 +182,7 @@ class PlanarProgram:
             for k, (t, sk) in enumerate(zip(self.surrogates, s)) if sk > 0.0
         }
         if not levels:
-            return PlanarSolution(
-                0.0, [PlanarOptimizer(0.0, 0.0, ["a=0", "b=0"])],
-                candidates=[(0.0, 0.0, 0.0)])
+            return levels, [(0.0, 0.0, 0.0)]
 
         raw = []
         for _, a_axis, b_axis in levels.values():
@@ -184,6 +200,19 @@ class PlanarProgram:
                     for (a, b), good in zip(raw, ok.tolist()) if good]
         if not feasible:
             raise DomainError("no feasible corner candidate found")
+        return levels, feasible
+
+    def value(self, s):
+        """phi(s), the least a/2 + b over the feasible corners: the value
+        solve(s) reports, bit for bit, without building its optimizers."""
+        return min(obj for _, _, obj in self._feasible(s)[1])
+
+    def solve(self, s, tie_tol=TIE_TOL):
+        levels, feasible = self._feasible(s)
+        if not levels:
+            return PlanarSolution(
+                0.0, [PlanarOptimizer(0.0, 0.0, ["a=0", "b=0"])],
+                candidates=feasible)
 
         feasible.sort(key=lambda r: (r[2], r[0], r[1]))
         value = feasible[0][2]
@@ -247,9 +276,7 @@ def phi_region_emit(motifs, s):
             curves[k] = [(a, b_axis)
                          for a in np.linspace(0.0, a_max, 201).tolist()]
         else:
-            # one scalar curve_a per point: numpy's array power can differ
-            # from the C library's pow in the last bit, and these points are
-            # written to files whose digests are pinned
-            curves[k] = [(prog.surrogates[k].curve_a(target, b), b)
+            # these points are written to files whose digests are pinned
+            curves[k] = [(prog.surrogates[k].level_a(target, b), b)
                          for b in np.linspace(0.0, b_axis, 201).tolist()]
     return rows, curves

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cliquehub.errors import CapabilityError, DomainError
 from cliquehub.motifs import (
     NAME_MAX_SIZE,
+    IndepPoly,
     Motif,
     WeightTable,
     bracket_root,
@@ -199,6 +200,50 @@ def test_indep_poly_inverse_of_large_and_non_finite_targets():
         for y in (math.nan, math.inf):
             with pytest.raises(DomainError, match="finite"):
                 p.inverse(y)
+
+
+def test_closed_form_inverse_matches_the_doubling_route(monkeypatch):
+    # both routes bracket the least float where P reaches y, so halving
+    # either bracket ends on the same bits; C6's cubic hub polynomial always
+    # doubles, and the quadratics double where the closed form overflows
+    rng = np.random.default_rng(27)
+    ys = np.concatenate([
+        1.0 + rng.uniform(0.0, 10.0, 400),
+        1.0 + 10.0 ** rng.uniform(-14.0, 200.0, 400),
+        1.0 + rng.uniform(0.0, 1e-12, 200),
+        1.0 + np.arange(1, 50) * 2.0 ** -52,
+        sys.float_info.max * rng.uniform(0.25, 1.0, 50),
+        [sys.float_info.max, math.nextafter(sys.float_info.max, 0.0)]])
+    ys = ys[ys > 1.0].tolist()
+    doubling = IndepPoly._doubling_bracket
+    calls = []
+
+    def counted(poly, y):
+        calls.append(y)
+        return doubling(poly, y)
+
+    monkeypatch.setattr(IndepPoly, "_doubling_bracket", counted)
+    for name in ("K12", "C3", "C4", "C6"):
+        p = motif_from_name(name).plan.hub_poly
+        calls.clear()
+        for y in ys:
+            lo, hi = doubling(p, y)
+            want = bracket_root(lambda x: p(x) < y, lo, hi)[1]
+            if math.isfinite(p(want)):
+                assert p.inverse(y) == want, (name, y)
+            else:
+                # P overflows before it reaches y: no route has an answer
+                with pytest.raises(DomainError, match="converge"):
+                    p.inverse(y)
+        if name == "C6":
+            assert len(calls) == len(ys)
+        else:
+            # the closed form answers most, the doubling the largest y
+            assert 0 < len(calls) < len(ys) / 10, name
+            assert max(ys) in calls
+    # at and just below 1 the answer is 0 on every route
+    for y in (1.0, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+        assert indep_poly(motif_from_name("C4")).inverse(y) == 0.0
 
 
 def test_weight_table_validation():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquehub.errors import DomainError
+from cliquehub import planar
 from cliquehub.planar import FEAS_TOL, PlanarProgram, phi_region_emit, phi_solve
 
 FIGURE_FAMILY = ("K12", "C3", "C4")
@@ -217,3 +218,50 @@ def test_optimum_is_feasible_and_below_the_region_grid(case):
     rows, _ = phi_region_emit(family, s)
     best = min(obj for a, b, ok, obj in rows if ok)
     assert best >= sol.value - 1e-9
+
+
+def test_value_matches_solve_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(26)
+    families = (FIGURE_FAMILY, ("C3", "C4"), ("K12", "C3"), ("K12",),
+                ("C3",), ("C4",))
+    for family in families:
+        prog = PlanarProgram(family)
+        m = len(family)
+        for i in range(60):
+            s = rng.uniform(0.0, (1.0, 10.0, 100.0)[i % 3], size=m)
+            s[rng.random(m) < 0.3] = 0.0
+            assert repr(prog.value(s)) == repr(prog.solve(s).value), s
+        for bad in (np.ones(m + 1), -np.ones(m), np.full(m, np.nan),
+                    np.full(m, np.inf)):
+            with pytest.raises(DomainError) as by_value:
+                prog.value(bad)
+            with pytest.raises(DomainError) as by_solve:
+                prog.solve(bad)
+            assert str(by_value.value) == str(by_solve.value)
+    # no corner passes a feasibility floor of inf
+    monkeypatch.setattr(planar, "_feasible_floor",
+                        lambda target: np.full_like(target, np.inf))
+    prog = PlanarProgram(FIGURE_FAMILY)
+    for run in (prog.value, prog.solve):
+        with pytest.raises(DomainError, match="no feasible corner"):
+            run([1.0, 2.0, 3.0])
+
+
+def test_level_a_keeps_the_scalar_level_curve_bits():
+    # level_a gives the crossings and the curve points phi_region_emit
+    # writes; it must match the scalar formula max(t - P(b), 0) ** (2 / v)
+    # bit for bit, also past the hub axis point, where rest <= 0
+    rng = np.random.default_rng(31)
+    for name in ("K11", "K12", "C3", "C4", "C5", "C6"):
+        t = PlanarProgram([name]).surrogates[0]
+        for s in np.concatenate([rng.uniform(0.0, 50.0, 10),
+                                 [1e-12, 1e3]]).tolist():
+            b_axis = t.hub(s)
+            bs = np.concatenate([np.linspace(0.0, b_axis, 40),
+                                 b_axis * rng.uniform(1.0, 3.0, 10),
+                                 [math.nextafter(b_axis, 0.0)]]).tolist()
+            rests = [1.0 + s - t.hub_poly(b) for b in bs]
+            assert min(rests) <= 0.0 < max(rests)
+            for b, rest in zip(bs, rests):
+                assert repr(t.level_a(1.0 + s, b)) == repr(
+                    max(rest, 0.0) ** t.power), (name, s, b)
