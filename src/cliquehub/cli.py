@@ -20,22 +20,37 @@ Errors print one machine-parsable line to stderr: error:<kind>:<message>.
 import argparse
 import csv
 import datetime
-import hashlib
+import importlib
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import CapabilityError, CliqueHubError, DomainError
-from .motifs import WeightTable, hom_density, load_json, resolve_motif
-from .planar import DEDUP_TOL, phi_region_emit, phi_solve
-from .hamiltonian import EdgeFModel, edge_f_solve, load_hamiltonian, psi_solve
-from .nmf import NmfProblem, nmf_solve, phi_np_solve
-from .sampler import DELTA_HUB, XI, run_experiment
-from . import finner
+
+
+def _engine(module, name):
+    """A stand-in for `name` from the engine module `module` that imports
+    the module on its first call, so a command loads only the engines it
+    runs.  The commands call these module globals, which the benchmark's
+    tracer rebinds."""
+    def forward(*args, **kwargs):
+        home = importlib.import_module("." + module, __package__)
+        return getattr(home, name)(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+hom_density = _engine("motifs", "hom_density")
+phi_solve = _engine("planar", "phi_solve")
+phi_region_emit = _engine("planar", "phi_region_emit")
+psi_solve = _engine("hamiltonian", "psi_solve")
+edge_f_solve = _engine("hamiltonian", "edge_f_solve")
+load_hamiltonian = _engine("hamiltonian", "load_hamiltonian")
+nmf_solve = _engine("nmf", "nmf_solve")
+phi_np_solve = _engine("nmf", "phi_np_solve")
+run_experiment = _engine("sampler", "run_experiment")
 
 
 FIGURE_SCENARIOS = {
@@ -60,6 +75,7 @@ class _Parser(argparse.ArgumentParser):
 def _plain(obj):
     """json's hook for numpy values: an array becomes a list, a numpy scalar
     its Python value.  np.float64 is a float and never reaches here."""
+    import numpy as np
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
@@ -73,6 +89,7 @@ def _emit(payload):
 
 
 def _sha256(path):
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         digest.update(fh.read())
@@ -84,8 +101,7 @@ class Manifest:
 
     def __init__(self, argv, args, out_dir=None):
         self.command = list(argv)
-        self.config = {k: v for k, v in sorted(vars(args).items())
-                       if k != "func" and v is not None}
+        self.args = args  # read at finish, after the command fills defaults
         self.seed = getattr(args, "seed", None)
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.out_dir = out_dir
@@ -125,6 +141,7 @@ class Manifest:
         return path
 
     def finish(self):
+        import hashlib
         if not self.files:
             return None
         if self.out_dir is not None:
@@ -141,7 +158,8 @@ class Manifest:
             combined.update(("%s:%s\n" % (name, files[name])).encode())
         body = {
             "command": self.command,
-            "config": self.config,
+            "config": {k: v for k, v in sorted(vars(self.args).items())
+                       if k != "func" and v is not None},
             "seed": self.seed,
             "version": __version__,
             "started": self.started,
@@ -158,6 +176,7 @@ class Manifest:
 
 
 def _load_table(path):
+    from .motifs import WeightTable, load_json
     if path.endswith(".json"):
         return WeightTable.from_json_dict(load_json(path, "weight table"))
     with open(path, "rb") as fh:
@@ -165,6 +184,7 @@ def _load_table(path):
 
 
 def _motif_list(text):
+    from .motifs import resolve_motif
     return [resolve_motif(name.strip()) for name in text.split(",")
             if name.strip()]
 
@@ -181,6 +201,7 @@ def _float_list(text):
 
 
 def cmd_hom_density(args, manifest):
+    from .motifs import resolve_motif
     motif = resolve_motif(args.motif)
     table = _load_table(args.table)
     value = hom_density(motif, table, scale=args.scale, engine=args.engine)
@@ -222,6 +243,8 @@ def cmd_psi(args, manifest):
 
 
 def cmd_edge_f(args, manifest):
+    from .motifs import resolve_motif
+    from .hamiltonian import EdgeFModel
     motif = resolve_motif(args.motif)
     if args.beta is None and not args.beta_grid:
         raise DomainError("edge-f wants --beta or --beta-grid")
@@ -261,6 +284,7 @@ def cmd_edge_f(args, manifest):
 
 
 def cmd_nmf(args, manifest):
+    from .nmf import NmfProblem
     spec = load_hamiltonian(args.hamiltonian)
     prob = NmfProblem(args.n, args.p, spec=spec)
     sol = nmf_solve(prob, seed=args.seed)
@@ -274,6 +298,7 @@ def cmd_nmf(args, manifest):
 
 
 def cmd_phi_np(args, manifest):
+    from .nmf import NmfProblem
     motifs = _motif_list(args.motifs)
     s = _float_list(args.s)
     prob = NmfProblem(args.n, args.p, s=s, family=tuple(motifs))
@@ -288,6 +313,13 @@ def cmd_phi_np(args, manifest):
 
 
 def cmd_sample(args, manifest):
+    from .motifs import WeightTable
+    from .sampler import DELTA_HUB, XI
+    # the defaults live in sampler; the manifest records the values used
+    if args.delta_hub is None:
+        args.delta_hub = DELTA_HUB
+    if args.xi is None:
+        args.xi = XI
     spec = load_hamiltonian(args.hamiltonian) if args.hamiltonian else None
     result = run_experiment(
         n=args.n, p=args.p, sweeps=args.sweeps, spec=spec, chains=args.chains,
@@ -302,6 +334,7 @@ def cmd_sample(args, manifest):
 
 
 def cmd_finner_check(args, manifest):
+    from . import finner
     if args.instance is None and args.suite is None:
         raise DomainError("finner-check wants --instance or --suite")
     if args.instance is not None:
@@ -320,6 +353,7 @@ def cmd_finner_check(args, manifest):
         raise DomainError("unknown suite %r" % args.suite)
     if args.count < 1:
         raise DomainError("--count must be at least 1")
+    import numpy as np
     worst = 0.0
     for k in range(args.count):
         rng = np.random.default_rng(
@@ -332,6 +366,7 @@ def cmd_finner_check(args, manifest):
 
 
 def cmd_emit_figure(args, manifest):
+    from .planar import DEDUP_TOL
     if args.scenario not in FIGURE_SCENARIOS:
         raise DomainError("unknown scenario %r (choices: %s)"
                           % (args.scenario,
@@ -446,8 +481,8 @@ def build_parser():
     sub.add_argument("--chains", type=int, default=1)
     sub.add_argument("--thin", type=int, default=1)
     sub.add_argument("--detect", action="store_true")
-    sub.add_argument("--delta-hub", type=float, default=DELTA_HUB)
-    sub.add_argument("--xi", type=float, default=XI)
+    sub.add_argument("--delta-hub", type=float, default=None)
+    sub.add_argument("--xi", type=float, default=None)
     sub.add_argument("--emit-traj", default=None)
     sub.add_argument("--emit-graph", default=None)
     _common(sub)

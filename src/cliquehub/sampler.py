@@ -57,12 +57,16 @@ def _sigmoid(z):
     return e / (1.0 + e)
 
 
+def _clamp(x):
+    """What min(CLAMP, max(-CLAMP, x)) gives, NaN to -CLAMP and -0.0 kept,
+    in two comparisons: the one clamp of the chain and of the exact law."""
+    return (x if x < CLAMP else CLAMP) if x > -CLAMP else -CLAMP
+
+
 def _heat_bath_probability(x, logit):
     """The chance that a heat-bath step sets a pair to 1 when that raises
-    the tilt r H by x: sigmoid(clamp(x) + logit p), where the clamp gives
-    what min(CLAMP, max(-CLAMP, x)) gives, NaN to -CLAMP included."""
-    z = (x if x < CLAMP else CLAMP) if x > -CLAMP else -CLAMP
-    return _sigmoid(z + logit)
+    the tilt r H by x: sigmoid(clamp(x) + logit p)."""
+    return _sigmoid(_clamp(x) + logit)
 
 
 def _live_spec(spec):
@@ -341,7 +345,7 @@ def exact_enumerate(n, p, spec=None, engine="logsumexp"):
         lam = 0.0
         log_w = log_base
     else:
-        tilt = np.array([min(CLAMP, max(-CLAMP, r * hs)) for hs in h])
+        tilt = np.array([_clamp(r * hs) for hs in h])
         log_w = log_base + tilt
         if engine == "logsumexp":
             top = float(log_w.max())

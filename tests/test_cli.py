@@ -517,6 +517,24 @@ def test_sample_emits_and_manifest(capsys, tmp_path):
     assert manifest["seed"] == 9
 
 
+@pytest.mark.parametrize("flags,delta_hub,xi", [
+    ([], 0.5, 0.05),
+    (["--delta-hub", "0.25", "--xi", "0.1"], 0.25, 0.1),
+])
+def test_sample_manifest_records_the_detection_values(capsys, tmp_path,
+                                                      flags, delta_hub, xi):
+    # the defaults live in sampler alone; the record holds the values used
+    assert (sampler.DELTA_HUB, sampler.XI) == (0.5, 0.05)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, [
+        "sample", "--n", "8", "--p", "0.2", "--sweeps", "1", "--detect",
+        "--out", str(out_dir), "--emit-traj", "traj.csv"] + flags)
+    assert code == 0, err
+    config = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert (config["delta_hub"], config["xi"]) == (delta_hub, xi)
+    assert config["detect"] is True and config["sweeps"] == 1
+
+
 PINNED_FAMILY = ["K12", "C3", "C4", {"name": "P4", "vertices": 4,
                                      "edges": [[0, 1], [1, 2], [2, 3]]}]
 

@@ -1,10 +1,13 @@
 import argparse
 import ast
 import collections
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import cliquehub
 import cliquehub.cli
@@ -189,6 +192,85 @@ def test_cli_import_loads_no_scipy(tmp_path):
                               capture_output=True, text=True, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split() == ["scipy:"], argv
+
+
+# (argv, exit code, engine modules it may load); None is the import alone.
+# Loading no engine means loading no numpy either.
+IMPORT_SCOPES = [
+    (None, 0, ()),
+    (["--version"], 0, ()),
+    (["--help"], 0, ()),
+    (["no-such-command"], 1, ()),
+    (["hom-density", "--motif", "C3", "--table", "t.json"], 0, ("motifs",)),
+    (["planar-phi", "--motifs", "C3,C4", "--s", "1.0,2.0"], 0,
+     ("motifs", "planar")),
+    (["emit-figure", "--scenario", "fig2A", "--out", "fig"], 0,
+     ("motifs", "planar")),
+    (["edge-f", "--motif", "C3", "--gamma", "1.0", "--beta", "2.0"], 0,
+     ("motifs", "planar", "hamiltonian")),
+    (["psi", "--hamiltonian", "h.json"], 0,
+     ("motifs", "planar", "hamiltonian")),
+    (["finner-check", "--suite", "random", "--count", "2"], 0,
+     ("motifs", "finner")),
+]
+
+
+@pytest.mark.parametrize("argv,code,engines", IMPORT_SCOPES)
+def test_each_command_loads_only_the_engines_it_runs(tmp_path, argv, code,
+                                                     engines):
+    # a fresh interpreter compiles every module it imports, which the
+    # commands pay for when no bytecode is cached
+    (tmp_path / "h.json").write_text(HAMILTONIAN)
+    (tmp_path / "t.json").write_text(
+        '{"n": 4, "triangle": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}')
+    run = "0" if argv is None else "cliquehub.cli.main(%r)" % (argv,)
+    probe = ("import sys, cliquehub.cli; code = %s; print(code, *sorted("
+             "m for m in sys.modules if m == 'numpy' "
+             "or m.startswith('cliquehub.')))" % run)
+    proc = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert int(last[0]) == code, proc.stderr
+    loaded = {m.partition(".")[2] or m for m in last[1:]} - {"cli", "errors"}
+    allowed = set(engines) | ({"numpy"} if engines else set())
+    assert loaded <= allowed, argv
+
+
+# the names the package exported, by home module
+PUBLIC = {
+    "errors": ("CapabilityError", "CliqueHubError", "DegeneracyError",
+               "DomainError"),
+    "motifs": ("Motif", "WeightTable", "hom_density", "motif_from_name"),
+    "planar": ("PlanarProgram", "phi_solve"),
+    "hamiltonian": ("EdgeFModel", "HamiltonianSpec", "edge_f_solve",
+                    "psi_solve"),
+    "nmf": ("NmfProblem", "nmf_solve", "overlay_matrix", "phi_np_solve"),
+    "sampler": ("ErgmChain", "detect_structure", "run_experiment"),
+    "finner": ("ProductInstance", "finner_integral", "recover_factors"),
+}
+
+
+def test_the_public_names_are_their_home_modules_objects():
+    for home, names in PUBLIC.items():
+        module = importlib.import_module("cliquehub." + home)
+        for name in names:
+            assert getattr(cliquehub, name) is getattr(module, name), name
+            assert name in dir(cliquehub)
+    assert sorted(cliquehub.__all__) == sorted(
+        name for names in PUBLIC.values() for name in names)
+    with pytest.raises(AttributeError):
+        cliquehub.no_such_name
+    # the import alone loads no engine and no numpy, and importing a
+    # submodule by name still works
+    probe = ("import sys, cliquehub; print(*sorted(m for m in sys.modules "
+             "if m == 'numpy' or m.startswith('cliquehub'))); "
+             "from cliquehub import nmf; print(nmf.__name__, "
+             "nmf.nmf_solve is cliquehub.nmf_solve)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_package_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cliquehub", "cliquehub.nmf True"]
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
