@@ -19,11 +19,11 @@ _HOMES = {
     "DegeneracyError": "errors", "DomainError": "errors",
     "Motif": "motifs", "WeightTable": "motifs", "hom_density": "motifs",
     "motif_from_name": "motifs",
-    "PlanarProgram": "planar", "phi_solve": "planar",
+    "PlanarProgram": "planar", "overlay_matrix": "planar",
+    "phi_solve": "planar",
     "EdgeFModel": "hamiltonian", "HamiltonianSpec": "hamiltonian",
     "edge_f_solve": "hamiltonian", "psi_solve": "hamiltonian",
-    "NmfProblem": "nmf", "nmf_solve": "nmf", "overlay_matrix": "nmf",
-    "phi_np_solve": "nmf",
+    "NmfProblem": "nmf", "nmf_solve": "nmf", "phi_np_solve": "nmf",
     "ErgmChain": "sampler", "detect_structure": "sampler",
     "run_experiment": "sampler",
     "ProductInstance": "finner", "finner_integral": "finner",

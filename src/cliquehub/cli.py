@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import CapabilityError, CliqueHubError, DomainError
+from .errors import CapabilityError, CliqueHubError, DomainError, load_json
 
 
 def _engine(module, name):
@@ -176,7 +176,7 @@ class Manifest:
 
 
 def _load_table(path):
-    from .motifs import WeightTable, load_json
+    from .motifs import WeightTable
     if path.endswith(".json"):
         return WeightTable.from_json_dict(load_json(path, "weight table"))
     with open(path, "rb") as fh:

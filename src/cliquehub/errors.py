@@ -1,9 +1,11 @@
-"""Error taxonomy shared by the library and the CLI.
+"""Error taxonomy and the one JSON reader shared by the library and the CLI.
 
 DomainError covers invalid inputs and validation failures (CLI exit 1).
 CapabilityError covers requests outside implemented limits (CLI exit 2).
 InternalError covers a broken invariant of the program itself (CLI exit 3).
 """
+
+import json
 
 
 class CliqueHubError(Exception):
@@ -28,3 +30,13 @@ class CapabilityError(CliqueHubError):
 class InternalError(CliqueHubError):
     kind = "internal"
     exit_code = 3
+
+
+def load_json(path, what):
+    """The JSON document at path; text that is not JSON is a DomainError
+    that names what the file should hold."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DomainError("bad %s json: %s" % (what, exc))

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
-from .motifs import load_json
+from .errors import CapabilityError, DomainError, load_json
 
 STATE_CAP = 1.0e7
 

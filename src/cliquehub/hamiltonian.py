@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DegeneracyError, DomainError
+from .errors import CapabilityError, DegeneracyError, DomainError, load_json
 # perfbench/spans.py looks indep_poly up here to time it
 from .motifs import (_is_int, bracket_root, indep_poly,  # noqa: F401
-                     load_json, motif_from_name, resolve_motif,
-                     validate_family)
+                     motif_from_name, resolve_motif, validate_family)
 from .planar import PlanarProgram, Surrogate
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import json
 import math
 import re
 import struct
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, load_json
 
 LETTERS = "abcdefgh"
 # the largest cycle length, leaf count or clique size a built-in name may
@@ -139,16 +138,6 @@ def motif_from_name(name):
                           "needs k >= 1; cliques of 10 or more vertices have "
                           "no built-in name" % name)
     return star_motif(size)
-
-
-def load_json(path, what):
-    """The JSON document at path; text that is not JSON is a DomainError
-    that names what the file should hold."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise DomainError("bad %s json: %s" % (what, exc))
 
 
 def resolve_motif(spec):

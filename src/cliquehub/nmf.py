@@ -2,10 +2,10 @@
 
 Two problems share the same machinery: maximizing r*h(t(F, Q/p)) - Ent_p(Q)
 over symmetric matrices Q, and minimizing Ent_p(Q) subject to density floors
-t(F_k, Q/p) >= 1 + s_k.  Clique-hub overlay matrices supply warm starts,
-certified lower bounds for the first problem, and upper-bound witnesses for
-the second.  An alignment probe measures how close a given Q sits to the
-nearest overlay suggested by the planar program.
+t(F_k, Q/p) >= 1 + s_k.  The planar program's clique-hub overlays supply
+warm starts, certified lower bounds for the first problem, and upper-bound
+witnesses for the second.  An alignment probe measures how close a given Q
+sits to the nearest of those overlays.
 """
 
 import functools
@@ -19,7 +19,7 @@ from .errors import CapabilityError, DegeneracyError, DomainError, InternalError
 from .hamiltonian import direct_route, h_grad, h_value, psi_solve  # noqa: F401
 from .motifs import (WeightTable, _as_matrix, bracket_root, hom_density,
                      hom_density_grad, rate, resolve_motif, validate_family)
-from .planar import PlanarProgram, PlanarSolution
+from .planar import PlanarProgram, PlanarSolution, overlay_matrix, overlay_sizes
 
 N_CAP = 256
 EPS_CLIP = 1e-9
@@ -74,7 +74,7 @@ def entropy_grad(table, p):
 
 
 # ---------------------------------------------------------------------------
-# problems and clique-hub overlays
+# problems
 
 
 @dataclass
@@ -117,42 +117,6 @@ class NmfProblem:
     @property
     def rate(self):
         return rate(self.n, self.p, self.delta)
-
-
-def overlay_matrix(n, p, clique, hub):
-    """Planted overlay Q^{I,J} on n vertices: 1 on pairs inside the clique
-    set I and on pairs joining a hub row of J to a vertex outside J, p on
-    every other pair, 0 on the diagonal."""
-    idx_i = np.array(clique, dtype=int)
-    idx_j = np.array(hub, dtype=int)
-    if set(idx_i.tolist()) & set(idx_j.tolist()):
-        raise DomainError("clique and hub sets must be disjoint")
-    if idx_i.size + idx_j.size > n:
-        raise DomainError("overlay does not fit in n vertices")
-    m = np.full((n, n), p)
-    if idx_i.size:
-        m[np.ix_(idx_i, idx_i)] = 1.0
-    if idx_j.size:
-        outside = np.ones(n, dtype=bool)
-        outside[idx_j] = False
-        comp = np.flatnonzero(outside)
-        m[np.ix_(idx_j, comp)] = 1.0
-        m[np.ix_(comp, idx_j)] = 1.0
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
-def overlay_sizes(n, p, delta, a, b, factor=1.0, rounding=math.floor):
-    """Clique and hub sizes for amplitudes (a, b): rounding(factor |I|) and
-    rounding(factor |J|) with |I| = sqrt(a p^delta) n and |J| = b p^delta n.
-
-    Negative amplitudes are solver round-off and count as zero.  The clique
-    is capped at n and the hub at n - clique, so the overlay always fits.
-    """
-    a, b = max(a, 0.0), max(b, 0.0)
-    k_clique = min(int(rounding(factor * (math.sqrt(a * p ** delta) * n))), n)
-    k_hub = min(int(rounding(factor * (b * p ** delta * n))), n - k_clique)
-    return k_clique, k_hub
 
 
 # ---------------------------------------------------------------------------

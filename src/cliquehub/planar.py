@@ -13,7 +13,8 @@ form of the level curve, down to adjacent floats.
 
 PlanarProgram.value(s) returns phi(s) alone from the feasible candidates;
 solve(s) shares that work and adds the optimizers with their active
-constraints, the near ties and the levels.
+constraints, the near ties and the levels.  overlay_sizes and overlay_matrix
+plant an optimizer (a, b) at finite n as a clique I and a hub J, Q^{I,J}.
 """
 
 from __future__ import annotations
@@ -280,3 +281,39 @@ def phi_region_emit(motifs, s):
             curves[k] = [(prog.surrogates[k].level_a(target, b), b)
                          for b in np.linspace(0.0, b_axis, 201).tolist()]
     return rows, curves
+
+
+def overlay_matrix(n, p, clique, hub):
+    """Planted overlay Q^{I,J} on n vertices: 1 on pairs inside the clique
+    set I and on pairs joining a hub row of J to a vertex outside J, p on
+    every other pair, 0 on the diagonal."""
+    idx_i = np.array(clique, dtype=int)
+    idx_j = np.array(hub, dtype=int)
+    if set(idx_i.tolist()) & set(idx_j.tolist()):
+        raise DomainError("clique and hub sets must be disjoint")
+    if idx_i.size + idx_j.size > n:
+        raise DomainError("overlay does not fit in n vertices")
+    m = np.full((n, n), p)
+    if idx_i.size:
+        m[np.ix_(idx_i, idx_i)] = 1.0
+    if idx_j.size:
+        outside = np.ones(n, dtype=bool)
+        outside[idx_j] = False
+        comp = np.flatnonzero(outside)
+        m[np.ix_(idx_j, comp)] = 1.0
+        m[np.ix_(comp, idx_j)] = 1.0
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def overlay_sizes(n, p, delta, a, b, factor=1.0, rounding=math.floor):
+    """Clique and hub sizes for amplitudes (a, b): rounding(factor |I|) and
+    rounding(factor |J|) with |I| = sqrt(a p^delta) n and |J| = b p^delta n.
+
+    Negative amplitudes are solver round-off and count as zero.  The clique
+    is capped at n and the hub at n - clique, so the overlay always fits.
+    """
+    a, b = max(a, 0.0), max(b, 0.0)
+    k_clique = min(int(rounding(factor * (math.sqrt(a * p ** delta) * n))), n)
+    k_hub = min(int(rounding(factor * (b * p ** delta * n))), n - k_clique)
+    return k_clique, k_hub

@@ -25,7 +25,7 @@ from .hamiltonian import (HamiltonianSpec, checked_hamiltonian, direct_route,
 # because perfbench's tracer wraps it on this module
 from .motifs import (_as_matrix, hom_density, hom_density_delta, rate,
                      toggle_rule, validate_family)
-from .nmf import overlay_matrix, overlay_sizes
+from .planar import overlay_matrix, overlay_sizes
 
 CLAMP = 700.0
 ENUM_MAX_VERTICES = 6

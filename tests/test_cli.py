@@ -634,8 +634,12 @@ SHAPE = "bad instance document: "
      "function values must be finite"),
     ("functions", [{"A_index": 0, "values": [math.inf]}],
      "function values must be finite"),
+    # a second space that no set uses reaches ProductInstance's own checks
+    ("spaces", [[1.0], []], "each space needs a 1-d mass vector"),
+    ("spaces", [[1.0], [0.0, 1.0]], "masses must be positive"),
 ], ids=["function-number", "vertex-past-spaces", "text-weight", "nan-weight",
-        "inf-weight", "nan-mass", "inf-mass", "nan-function", "inf-function"])
+        "inf-weight", "nan-mass", "inf-mass", "nan-function", "inf-function",
+        "empty-space", "zero-mass"])
 def test_misshapen_instance_is_a_domain_error(capsys, tmp_path, key, value,
                                               message):
     path = tmp_path / "inst.json"
@@ -645,6 +649,26 @@ def test_misshapen_instance_is_a_domain_error(capsys, tmp_path, key, value,
     assert out == ""
     assert err.startswith("error:domain:" + message)
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,document,message", [
+    (["finner-check", "--instance"],
+     {"spaces": [], "system": [], "functions": []},
+     "instance needs at least one space"),
+    # validate_hamiltonian reports what validate_family rejects
+    (["psi", "--hamiltonian"],
+     {"family": [{"name": "E", "vertices": 2, "edges": []}],
+      "terms": [{"k": 0, "beta": 1.0, "gamma": 0.3}]},
+     "invalid hamiltonian: motif E has no edges"),
+], ids=["no-spaces", "edgeless-motif"])
+def test_rejected_document_is_a_domain_error(capsys, tmp_path, argv, document,
+                                             message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, argv + [str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "error:domain:%s\n" % message
 
 
 def test_non_string_family_entry_is_a_domain_error(capsys, tmp_path):
@@ -814,7 +838,7 @@ def test_k10_names_no_motif(capsys, tmp_path):
     assert "k-leaf star" in err
 
 
-@pytest.mark.parametrize("engine", ["auto", "generic", "exhaustive"])
+@pytest.mark.parametrize("engine", ["auto", "fast", "generic", "exhaustive"])
 def test_isolated_vertices_leave_the_density_unchanged(capsys, tmp_path,
                                                        engine):
     # n^498 is past the float range, yet the density is the edge's

@@ -530,8 +530,9 @@ def test_beta_o_is_the_infimum_of_the_planar_ratio():
     # beta_o = inf over s > shift - 1 of phi(s) / (f(1+s) - f(1)); scan that
     # ratio with the planar program's phi on a geometric grid above shift - 1,
     # then again on a finer one between the best point's neighbours
+    # at shift 5 the C3 ratio's minimum lies on phi's clique piece, past s_c
     for name, gamma, shift in (("C3", 1.0, 2.0), ("C4", 1.0, 2.0),
-                               ("K12", 0.9, 1.5)):
+                               ("K12", 0.9, 1.5), ("C3", 1.0, 5.0)):
         model = EdgeFModel(name, 1.0, gamma, shift)
         beta_o = edge_f_solve(model).beta_o
 

@@ -210,8 +210,15 @@ IMPORT_SCOPES = [
      ("motifs", "planar", "hamiltonian")),
     (["psi", "--hamiltonian", "h.json"], 0,
      ("motifs", "planar", "hamiltonian")),
-    (["finner-check", "--suite", "random", "--count", "2"], 0,
-     ("motifs", "finner")),
+    (["finner-check", "--suite", "random", "--count", "2"], 0, ("finner",)),
+    (["finner-check", "--instance", "i.json"], 0, ("finner",)),
+    (["sample", "--n", "8", "--p", "0.2", "--sweeps", "1",
+      "--hamiltonian", "h.json"], 0,
+     ("motifs", "planar", "hamiltonian", "sampler")),
+    (["nmf", "--n", "8", "--p", "0.2", "--hamiltonian", "h.json"], 0,
+     ("motifs", "planar", "hamiltonian", "nmf")),
+    (["phi-np", "--n", "8", "--p", "0.2", "--motifs", "C3", "--s", "1.0"], 0,
+     ("motifs", "planar", "hamiltonian", "nmf")),
 ]
 
 
@@ -223,6 +230,9 @@ def test_each_command_loads_only_the_engines_it_runs(tmp_path, argv, code,
     (tmp_path / "h.json").write_text(HAMILTONIAN)
     (tmp_path / "t.json").write_text(
         '{"n": 4, "triangle": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}')
+    (tmp_path / "i.json").write_text(
+        '{"spaces": [[1.0]], "system": [{"A": [0], "lambda": 1.0}], '
+        '"functions": [{"A_index": 0, "values": [1.0]}]}')
     run = "0" if argv is None else "cliquehub.cli.main(%r)" % (argv,)
     probe = ("import sys, cliquehub.cli; code = %s; print(code, *sorted("
              "m for m in sys.modules if m == 'numpy' "
@@ -242,10 +252,10 @@ PUBLIC = {
     "errors": ("CapabilityError", "CliqueHubError", "DegeneracyError",
                "DomainError"),
     "motifs": ("Motif", "WeightTable", "hom_density", "motif_from_name"),
-    "planar": ("PlanarProgram", "phi_solve"),
+    "planar": ("PlanarProgram", "overlay_matrix", "phi_solve"),
     "hamiltonian": ("EdgeFModel", "HamiltonianSpec", "edge_f_solve",
                     "psi_solve"),
-    "nmf": ("NmfProblem", "nmf_solve", "overlay_matrix", "phi_np_solve"),
+    "nmf": ("NmfProblem", "nmf_solve", "phi_np_solve"),
     "sampler": ("ErgmChain", "detect_structure", "run_experiment"),
     "finner": ("ProductInstance", "finner_integral", "recover_factors"),
 }
